@@ -146,12 +146,9 @@ void PaxosEngine::VoteAndArm(TxnId txn, Participation* part, Outbox* out) {
   ++metrics_.paxos_votes;
   Trace(TraceEventType::kPaxosVote, txn, /*flag=*/true,
         config_.cluster_sites);
-  const Message vote =
-      MakePaxosPhase2a(txn, /*ballot=*/0, self_, /*prepared=*/true,
-                       part->group);
-  for (size_t i = 0; i < config_.cluster_sites; ++i) {
-    out->sends.emplace_back(SiteAt(i), vote);
-  }
+  out->sends.emplace_back(
+      AllSites{}, MakePaxosPhase2a(txn, /*ballot=*/0, self_,
+                                   /*prepared=*/true, part->group));
   part->attempt = 0;
   part->timer = ScheduleGuarded(config_.paxos_failover_timeout,
                                 [this, txn] { FailoverTick(txn); });

@@ -2,10 +2,28 @@
 // recording/broadcast, crash/recovery, outbox plumbing.
 #include "src/paxos/paxos_engine.h"
 
+#include <algorithm>
+
 #include "src/common/check.h"
 #include "src/common/logging.h"
 
 namespace polyvalue {
+namespace {
+
+// The keys of a hashed per-transaction table in ascending TxnId order,
+// for loops whose order is visible (sends, lock releases, traces).
+template <typename Table>
+std::vector<TxnId> SortedTxns(const Table& table) {
+  std::vector<TxnId> txns;
+  txns.reserve(table.size());
+  for (const auto& entry : table) {
+    txns.push_back(entry.first);
+  }
+  std::sort(txns.begin(), txns.end());
+  return txns;
+}
+
+}  // namespace
 
 PaxosEngine::PaxosEngine(SiteId self, ItemStore* items, Scheduler* scheduler,
                          SendFn send, EngineConfig config)
@@ -135,7 +153,14 @@ void PaxosEngine::OnMessage(SiteId from, const Message& msg) {
 
 void PaxosEngine::FlushOutbox(Outbox* out) {
   for (auto& [to, msg] : out->sends) {
-    send_(to, msg);
+    std::string payload = msg.Encode();
+    if (const SiteId* site = std::get_if<SiteId>(&to)) {
+      send_(*site, std::move(payload));
+      continue;
+    }
+    for (size_t i = 0; i < config_.cluster_sites; ++i) {
+      send_(SiteAt(i), payload);
+    }
   }
   for (auto& thunk : out->thunks) {
     thunk();
@@ -154,17 +179,15 @@ void PaxosEngine::RecordDecision(TxnId txn, bool committed) {
 void PaxosEngine::BroadcastDecision(TxnId txn, bool committed, Outbox* out) {
   // Every site hears the outcome: RMs install/discard, standbys answer
   // later nudges from their decided_ table instead of running ballots.
-  const Message decision = MakePaxosDecision(txn, committed);
-  for (size_t i = 0; i < config_.cluster_sites; ++i) {
-    out->sends.emplace_back(SiteAt(i), decision);
-  }
+  out->sends.emplace_back(AllSites{}, MakePaxosDecision(txn, committed));
 }
 
 void PaxosEngine::Crash() {
   MutexLock lock(&mu_);
   Trace(TraceEventType::kCrash, TxnId());
   crashed_ = true;
-  for (auto& [txn, lead] : leaderships_) {
+  for (TxnId txn : SortedTxns(leaderships_)) {
+    const Leadership& lead = leaderships_.at(txn);
     if (lead.timer != 0) {
       scheduler_->Cancel(lead.timer);
     }
@@ -173,7 +196,8 @@ void PaxosEngine::Crash() {
     // this site's client channel is lost.
   }
   leaderships_.clear();
-  for (auto& [txn, part] : participations_) {
+  for (TxnId txn : SortedTxns(participations_)) {
+    const Participation& part = participations_.at(txn);
     if (part.timer != 0) {
       scheduler_->Cancel(part.timer);
     }
@@ -191,12 +215,7 @@ void PaxosEngine::Recover() {
     MutexLock lock(&mu_);
     crashed_ = false;
     Trace(TraceEventType::kRecover, TxnId());
-    std::vector<TxnId> pending;
-    pending.reserve(prepared_.size());
-    for (const auto& [txn, prep] : prepared_) {
-      pending.push_back(txn);
-    }
-    for (TxnId txn : pending) {
+    for (TxnId txn : SortedTxns(prepared_)) {
       const Prepared& prep = prepared_.at(txn);
       // The prepared writes are this RM's vote: re-guard them until the
       // outcome lands (same re-lock discipline as TxnEngine::Recover).

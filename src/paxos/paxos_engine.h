@@ -53,7 +53,9 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "src/common/ids.h"
@@ -70,7 +72,8 @@ namespace polyvalue {
 
 class PaxosEngine : public CommitProtocol {
  public:
-  using SendFn = std::function<void(SiteId to, const Message& msg)>;
+  // Hands one encoded message to the transport.
+  using SendFn = std::function<void(SiteId to, std::string payload)>;
 
   // `config.cluster_sites` must name the full cluster size N (sites
   // 1..N are all acceptors; majority = N/2 + 1).
@@ -169,8 +172,11 @@ class PaxosEngine : public CommitProtocol {
     std::map<ItemKey, PolyValue> writes;
   };
 
+  // Destination of a broadcast: every site 1..N, in ascending order.
+  struct AllSites {};
   struct Outbox {
-    std::vector<std::pair<SiteId, Message>> sends;
+    // A broadcast is one entry, encoded once at flush.
+    std::vector<std::pair<std::variant<SiteId, AllSites>, Message>> sends;
     std::vector<std::function<void()>> thunks;
   };
 
@@ -282,14 +288,17 @@ class PaxosEngine : public CommitProtocol {
 
   mutable Mutex mu_ POLYV_MUTEX_RANK(kPaxosEngine);
   std::atomic<uint64_t> next_seq_{1};
-  std::map<TxnId, Leadership> leaderships_ GUARDED_BY(mu_);
-  std::map<TxnId, Participation> participations_ GUARDED_BY(mu_);
+  // Hashed, since every site is an acceptor for every transaction and
+  // acceptor_ and decided_ never shrink. Loops whose order reaches a
+  // send, a lock release or a trace walk SortedTxns() instead.
+  std::unordered_map<TxnId, Leadership> leaderships_ GUARDED_BY(mu_);
+  std::unordered_map<TxnId, Participation> participations_ GUARDED_BY(mu_);
 
   // Durable-by-contract (survive Crash): acceptor promises/accepts,
   // RM prepared writes, and learned/decided outcomes.
-  std::map<TxnId, AcceptorTxn> acceptor_ GUARDED_BY(mu_);
-  std::map<TxnId, Prepared> prepared_ GUARDED_BY(mu_);
-  std::map<TxnId, bool> decided_ GUARDED_BY(mu_);
+  std::unordered_map<TxnId, AcceptorTxn> acceptor_ GUARDED_BY(mu_);
+  std::unordered_map<TxnId, Prepared> prepared_ GUARDED_BY(mu_);
+  std::unordered_map<TxnId, bool> decided_ GUARDED_BY(mu_);
 
   bool crashed_ GUARDED_BY(mu_) = false;
   EngineMetrics metrics_ GUARDED_BY(mu_);

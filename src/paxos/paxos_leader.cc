@@ -320,10 +320,7 @@ void PaxosEngine::StartRecovery(TxnId txn,
   ++metrics_.paxos_recovery_ballots;
   Trace(TraceEventType::kPaxosRecoveryBallot, txn, /*flag=*/false,
         lead.ballot);
-  const Message phase1a = MakePaxosPhase1a(txn, lead.ballot);
-  for (size_t i = 0; i < config_.cluster_sites; ++i) {
-    out->sends.emplace_back(SiteAt(i), phase1a);
-  }
+  out->sends.emplace_back(AllSites{}, MakePaxosPhase1a(txn, lead.ballot));
   lead.timer = ScheduleGuarded(config_.paxos_failover_timeout,
                                [this, txn] { LeaderTimeout(txn); });
 }
@@ -384,11 +381,9 @@ void PaxosEngine::HandlePhase1b(SiteId from, const Message& msg,
     const bool value =
         best != lead.best_accepted.end() && best->second.second;
     lead.proposed[rm] = value;
-    const Message phase2a =
-        MakePaxosPhase2a(msg.txn, lead.ballot, rm, value, lead.participants);
-    for (size_t i = 0; i < config_.cluster_sites; ++i) {
-      out->sends.emplace_back(SiteAt(i), phase2a);
-    }
+    out->sends.emplace_back(
+        AllSites{},
+        MakePaxosPhase2a(msg.txn, lead.ballot, rm, value, lead.participants));
   }
 }
 

@@ -14,27 +14,18 @@ Site::Site(SiteId id, Transport* transport, Scheduler* scheduler,
       scheduler_(scheduler),
       options_(std::move(options)),
       items_(options_.default_factory, options_.store_shards) {
-  engine_ = std::make_unique<TxnEngine>(
-      id_, &items_, &outcomes_, scheduler,
-      [this](SiteId to, const Message& msg) {
-        const Status s =
-            transport_->Send(Packet{id_, to, msg.Encode()});
-        if (!s.ok()) {
-          POLYV_DEBUG << id_ << " send to " << to << " failed: " << s;
-        }
-      },
-      options_.engine);
+  // Both legs hand over encoded bytes; the site only addresses them.
+  const auto send = [this](SiteId to, std::string payload) {
+    const Status s = transport_->Send(Packet{id_, to, std::move(payload)});
+    if (!s.ok()) {
+      POLYV_DEBUG << id_ << " send to " << to << " failed: " << s;
+    }
+  };
+  engine_ = std::make_unique<TxnEngine>(id_, &items_, &outcomes_, scheduler,
+                                        send, options_.engine);
   if (options_.engine.leg == ProtocolLeg::kPaxosCommit) {
-    paxos_ = std::make_unique<PaxosEngine>(
-        id_, &items_, scheduler,
-        [this](SiteId to, const Message& msg) {
-          const Status s =
-              transport_->Send(Packet{id_, to, msg.Encode()});
-          if (!s.ok()) {
-            POLYV_DEBUG << id_ << " send to " << to << " failed: " << s;
-          }
-        },
-        options_.engine);
+    paxos_ = std::make_unique<PaxosEngine>(id_, &items_, scheduler, send,
+                                           options_.engine);
     active_ = paxos_.get();
   } else {
     active_ = engine_.get();

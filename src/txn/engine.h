@@ -203,7 +203,8 @@ class CommitProtocol {
 
 class TxnEngine : public CommitProtocol {
  public:
-  using SendFn = std::function<void(SiteId to, const Message& msg)>;
+  // Hands one encoded message to the transport.
+  using SendFn = std::function<void(SiteId to, std::string payload)>;
 
   TxnEngine(SiteId self, ItemStore* items, OutcomeTable* outcomes,
             Scheduler* scheduler, SendFn send, EngineConfig config);

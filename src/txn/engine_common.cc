@@ -201,7 +201,7 @@ void TxnEngine::FlushOutbox(Outbox* out) {
     }
   }
   for (auto& [to, msg] : out->sends) {
-    send_(to, msg);
+    send_(to, msg.Encode());
   }
   for (auto& thunk : out->thunks) {
     thunk();

@@ -301,9 +301,10 @@ void TxnEngine::ApplyInDoubtPolicy(TxnId txn, Participation* part,
       if (part->wait_entered_at > 0) {
         // The vulnerable window ends here: locks release with the
         // installs (§2.2 instrumentation).
-        metrics_.wait_phase_seconds +=
-            scheduler_->Now() - part->wait_entered_at;
+        const double waited = scheduler_->Now() - part->wait_entered_at;
+        metrics_.wait_phase_seconds += waited;
         ++metrics_.wait_phase_count;
+        metrics_.wait_phase_max = std::max(metrics_.wait_phase_max, waited);
         part->wait_entered_at = 0;
       }
       for (const auto& [key, computed] : part->pending_writes) {

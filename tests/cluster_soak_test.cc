@@ -17,6 +17,8 @@
 // keeps the same invariants in every `ctest` run.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/common/lockdep.h"
 #include "src/obs/audit.h"
 #include "src/obs/trace.h"
@@ -34,6 +36,10 @@ struct SoakCase {
   bool rolling_outage;
   double drop_probability;
 };
+
+// gtest would otherwise dump the raw bytes, pointers included, into the
+// listed test name, which then changes from run to run under ASLR.
+void PrintTo(const SoakCase& c, std::ostream* os) { *os << c.name; }
 
 class ClusterSoakTest : public ::testing::TestWithParam<SoakCase> {};
 

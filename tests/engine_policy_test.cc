@@ -78,6 +78,19 @@ TEST(PolicyTest, PolyvaluePolicyKeepsItemsAvailable) {
   EXPECT_EQ(s.ProbeItemA(), TxnDisposition::kCommitted);
 }
 
+// A wait that ends in a polyvalue install is a wait like any other: the
+// participant sat prepared for the whole in-doubt window, so the
+// longest recorded wait covers it.
+TEST(PolicyTest, PolyvalueInstallRecordsLongestWait) {
+  Scenario s(InDoubtPolicy::kPolyvalue);
+  const EngineMetrics metrics = s.cluster.TotalMetrics();
+  ASSERT_GE(metrics.polyvalue_installs, 1u);
+  const double window =
+      ConfigWithPolicy(InDoubtPolicy::kPolyvalue).wait_timeout;
+  // The slack absorbs rounding of the virtual clock's subtraction.
+  EXPECT_GE(metrics.wait_phase_max, window - 1e-9);
+}
+
 TEST(PolicyTest, BlockingPolicyHoldsLocksAndRejectsAccess) {
   Scenario s(InDoubtPolicy::kBlock);
   // Classic 2PC: the in-doubt participant still holds its lock.

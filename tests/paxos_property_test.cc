@@ -6,6 +6,7 @@
 // ASan/TSan like the rest of the suite.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <string>
@@ -232,6 +233,91 @@ TEST(PaxosPropertyTest, ContentionAbortsBeforeVotesAreSafe) {
     }
     const Status audit = TraceAuditor::Check(trace.Snapshot());
     EXPECT_TRUE(audit.ok()) << audit.message();
+  }
+}
+
+// Runs three transactions whose RM at site 2 votes but never hears the
+// decision (every link into site 2 is cut right after the votes leave),
+// then crashes and recovers site 2. Returns the whole trace.
+std::vector<TraceEvent> RecoverWithUndecidedVotes() {
+  VectorTraceSink trace;
+  SimCluster::Options options;
+  options.site_count = 3;
+  options.seed = 11;
+  options.min_delay = 0.001;
+  options.max_delay = 0.001;
+  options.engine.leg = ProtocolLeg::kPaxosCommit;
+  options.engine.paxos_failover_timeout = 0.05;
+  options.trace = &trace;
+  SimCluster cluster(options);
+  // Coordinators alternate between sites 1 and 3, so the txn ids do
+  // not ascend in submit order.
+  const size_t coordinators[] = {2, 0, 2};
+  for (int t = 0; t < 3; ++t) {
+    const ItemKey rm_key = "rm" + std::to_string(t);
+    const ItemKey other_key = "other" + std::to_string(t);
+    cluster.Load(1, rm_key, Value::Int(0));
+    cluster.Load(coordinators[t], other_key, Value::Int(0));
+    TxnSpec spec;
+    spec.ReadWrite(rm_key, cluster.site_id(1));
+    spec.ReadWrite(other_key, cluster.site_id(coordinators[t]));
+    spec.Logic([rm_key, other_key](const TxnReads& reads) {
+      TxnEffect e;
+      e.writes[rm_key] = Value::Int(reads.IntAt(rm_key) + 1);
+      e.writes[other_key] = Value::Int(reads.IntAt(other_key) + 1);
+      return e;
+    });
+    cluster.Submit(coordinators[t], std::move(spec), [](const TxnResult&) {});
+  }
+  // PREPARE, reply and WRITE_REQ take 1 ms each: the RMs vote at 3 ms,
+  // and the decisions would reach site 2 at 6 ms.
+  cluster.sim().At(0.0045, [&cluster] {
+    cluster.faults().SetOneWayDown(cluster.site_id(0), cluster.site_id(1),
+                                   true);
+    cluster.faults().SetOneWayDown(cluster.site_id(2), cluster.site_id(1),
+                                   true);
+  });
+  cluster.RunFor(0.3);
+  EXPECT_GE(cluster.site(1).store().locked_count(), 3u)
+      << "site 2 learned an outcome before the crash";
+  cluster.CrashSite(1);
+  cluster.faults().HealLinks();
+  cluster.RecoverSite(1);
+  cluster.RunFor(2.0);
+  for (size_t i = 0; i < cluster.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(cluster.site(i).store().locked_count(), 0u);
+  }
+  return trace.Snapshot();
+}
+
+// Recovery re-votes every prepared transaction. Its order reaches the
+// wire and the trace, so it must be ascending txn id however the
+// engine's tables are laid out, and identical from run to run.
+TEST(PaxosPropertyTest, RecoveryRevotesInTxnOrder) {
+  const std::vector<TraceEvent> events = RecoverWithUndecidedVotes();
+  const SiteId rm(2);
+  auto recover = std::find_if(events.begin(), events.end(),
+                              [rm](const TraceEvent& e) {
+                                return e.type == TraceEventType::kRecover &&
+                                       e.site == rm;
+                              });
+  ASSERT_NE(recover, events.end());
+  std::vector<TxnId> revotes;
+  for (auto it = recover; it != events.end(); ++it) {
+    if (it->type == TraceEventType::kPaxosVote && it->site == rm) {
+      revotes.push_back(it->txn);
+    }
+  }
+  ASSERT_EQ(revotes.size(), 3u);
+  for (size_t i = 1; i < revotes.size(); ++i) {
+    EXPECT_LT(revotes[i - 1], revotes[i]) << "re-vote " << i;
+  }
+
+  const std::vector<TraceEvent> again = RecoverWithUndecidedVotes();
+  ASSERT_EQ(events.size(), again.size());
+  for (size_t i = 0; i < events.size(); ++i) {
+    ASSERT_EQ(events[i].ToString(), again[i].ToString()) << "event " << i;
   }
 }
 
