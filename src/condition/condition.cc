@@ -216,6 +216,15 @@ constexpr size_t kConsensusTermLimit = 64;
 }  // namespace
 
 void Condition::Canonicalize() {
+  // A lone term is canonical as built (Term keeps its literals sorted and
+  // distinct), so TRUE, FALSE and every atom skip absorption and
+  // consensus; only a contradiction has to go.
+  if (terms_.size() <= 1) {
+    if (!terms_.empty() && terms_[0].is_contradiction()) {
+      terms_.clear();
+    }
+    return;
+  }
   // Drop contradictory terms.
   std::vector<Term> kept;
   kept.reserve(terms_.size());
@@ -273,6 +282,13 @@ void Condition::Canonicalize() {
 }
 
 Condition Condition::And(const Condition& a, const Condition& b) {
+  // TRUE is the identity, and a canonical operand is its own product.
+  if (a.is_true()) {
+    return b;
+  }
+  if (b.is_true()) {
+    return a;
+  }
   std::vector<Term> products;
   products.reserve(a.terms_.size() * b.terms_.size());
   for (const Term& ta : a.terms_) {

@@ -182,7 +182,11 @@ void PaxosEngine::FailoverTick(TxnId txn) {
           /*flag=*/standby == self_,
           static_cast<uint64_t>(part.attempt));
     if (standby == self_) {
-      StartRecovery(txn, part.group, &out);
+      // As in HandleNudge: a ballot this site already runs for txn has
+      // its own LeaderTimeout to escalate it; a second would compete.
+      if (leaderships_.count(txn) == 0) {
+        StartRecovery(txn, part.group, &out);
+      }
     } else {
       out.sends.emplace_back(standby, MakePaxosNudge(txn, part.group));
     }

@@ -74,11 +74,10 @@ SiteId PaxosEngine::BallotOwner(TxnId txn, uint64_t ballot) const {
   return SiteAt(ballot % config_.cluster_sites);
 }
 
-uint64_t PaxosEngine::RecoveryBallot(int round) const {
+uint64_t PaxosEngine::RecoveryBallot(uint64_t round) const {
   // round >= 1, so recovery ballots are always > 0 and partitioned by
   // site: no two sites can ever own the same ballot.
-  return static_cast<uint64_t>(round) * config_.cluster_sites +
-         (self_.value() - 1);
+  return round * config_.cluster_sites + (self_.value() - 1);
 }
 
 SiteId PaxosEngine::StandbyLeader(TxnId txn, int attempt) const {

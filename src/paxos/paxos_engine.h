@@ -133,7 +133,7 @@ class PaxosEngine : public CommitProtocol {
     // leader's tally of the RMs' own votes, round*N + index for
     // recovery rounds.
     uint64_t ballot = 0;
-    int round = 0;
+    uint64_t round = 0;
     // Phase1b bookkeeping (recovery only).
     std::set<SiteId> promised_from;
     std::map<SiteId, std::pair<uint64_t, bool>> best_accepted;
@@ -243,7 +243,7 @@ class PaxosEngine : public CommitProtocol {
   // The site a ballot belongs to: ballot 0 is the initial leader's
   // (encoded in the txn id); recovery ballots encode their owner.
   SiteId BallotOwner(TxnId txn, uint64_t ballot) const;
-  uint64_t RecoveryBallot(int round) const;
+  uint64_t RecoveryBallot(uint64_t round) const;
   // Ring order for failover: attempt k nudges the k-th site after the
   // initial leader (wrapping; k = N retries the leader itself).
   SiteId StandbyLeader(TxnId txn, int attempt) const;

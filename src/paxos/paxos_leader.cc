@@ -299,7 +299,18 @@ void PaxosEngine::StartRecovery(TxnId txn,
   // ballot. Ballots are partitioned by site (round*N + index), so two
   // concurrent recovery leaders can never collide on one.
   Leadership& lead = leaderships_[txn];
-  lead.round = std::max(lead.round + 1, 1);
+  ++lead.round;
+  // `lead` is volatile: after Crash() it restarts at round 1. The site's
+  // own acceptor promise is durable and covers every ballot this site
+  // has run that reached it, so climb past it — a reused ballot would
+  // let a stale pre-crash Phase1b count toward the new round.
+  const auto acc = acceptor_.find(txn);
+  if (acc != acceptor_.end() &&
+      RecoveryBallot(lead.round) <= acc->second.promised) {
+    lead.round = (acc->second.promised - (self_.value() - 1)) /
+                     config_.cluster_sites +
+                 1;
+  }
   lead.ballot = RecoveryBallot(lead.round);
   lead.phase = LeaderPhase::kRecovering;
   for (SiteId rm : group_hint) {

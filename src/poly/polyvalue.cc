@@ -9,7 +9,11 @@
 namespace polyvalue {
 
 PolyValue PolyValue::Certain(Value v) {
-  return PolyValue({{std::move(v), Condition::True()}});
+  // Built in place: an initializer list would copy the pair once more.
+  std::vector<PolyPair> pairs(1);
+  pairs[0].value = std::move(v);
+  pairs[0].condition = Condition::True();
+  return PolyValue(std::move(pairs));
 }
 
 PolyValue PolyValue::Of(std::vector<PolyPair> pairs) {
@@ -33,6 +37,11 @@ PolyValue PolyValue::InstallUncertain(TxnId txn, const PolyValue& computed,
 }
 
 void PolyValue::Canonicalize() {
+  // One pair has nothing to merge with: only a dead pair (rule 3) needs
+  // handling, and it falls through to the empty-set fallback below.
+  if (pairs_.size() == 1 && !pairs_[0].condition.is_false()) {
+    return;
+  }
   // Rule 3: drop pairs whose condition is (syntactically, in canonical
   // SOP) false.
   // Rule 2: merge pairs with equal values by OR-ing conditions.

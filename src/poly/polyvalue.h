@@ -49,7 +49,7 @@ struct PolyPair {
 class PolyValue {
  public:
   // Certain null.
-  PolyValue() : pairs_{{Value::Null(), Condition::True()}} {}
+  PolyValue() : PolyValue(Certain(Value::Null())) {}
 
   // {⟨v, true⟩}.
   static PolyValue Certain(Value v);

@@ -323,16 +323,17 @@ Status Wal::Append(const WalRecord& record) {
   if (std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size()) {
     return UnavailableError("WAL write failed");
   }
+  ++records_appended_;
+  ++appended_seq_;
+  if (options_.sync_policy == SyncPolicy::kFlushOnly) {
+    return OkStatus();  // buffered until the next Flush() barrier
+  }
   if (std::fflush(file_) != 0) {
     return UnavailableError("WAL flush failed");
   }
-  if (options_.sync_policy == SyncPolicy::kEveryAppend) {
-    if (fsync(fileno(file_)) != 0) {
-      return UnavailableError("WAL fsync failed");
-    }
+  if (fsync(fileno(file_)) != 0) {
+    return UnavailableError("WAL fsync failed");
   }
-  ++records_appended_;
-  ++appended_seq_;
   durable_seq_ = appended_seq_;
   ++batches_flushed_;
   ++records_flushed_;
@@ -340,8 +341,22 @@ Status Wal::Append(const WalRecord& record) {
 }
 
 Status Wal::Flush() {
+  if (options_.sync_policy == SyncPolicy::kFlushOnly) {
+    // Every frame buffered since the last barrier leaves in one write.
+    MutexLock lock(&mu_);
+    if (durable_seq_ == appended_seq_) {
+      return OkStatus();
+    }
+    records_flushed_ += appended_seq_ - durable_seq_;
+    durable_seq_ = appended_seq_;
+    ++batches_flushed_;
+    if (std::fflush(file_) != 0) {
+      return UnavailableError("WAL flush failed");
+    }
+    return OkStatus();
+  }
   if (options_.sync_policy != SyncPolicy::kGroupCommit) {
-    return OkStatus();  // per-append policies are already durable-as-promised
+    return OkStatus();  // kEveryAppend: every append is already synced
   }
   mu_.Lock();
   const uint64_t target = appended_seq_;

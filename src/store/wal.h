@@ -17,16 +17,20 @@
 // Corruption *before* an intact suffix is reported as DATA_LOSS.
 //
 // Sync policies:
-//   kFlushOnly   — fflush per append, no fsync (fast, default; durability
-//                  against process death, not power loss).
+//   kFlushOnly   — appends go to the stdio buffer, one frame per record;
+//                  Flush() hands everything buffered to the OS with one
+//                  fflush (one write(2)), never an fsync. Durable against
+//                  process death once flushed, not against power loss
+//                  (fast, default).
 //   kEveryAppend — fflush + fsync per append (the honest per-record
 //                  durability story; slow).
 //   kGroupCommit — appends only buffer in memory; Flush() coalesces every
-//                  buffered record into ONE batch frame + fsync. The
-//                  engine calls Flush() before releasing any externally
-//                  visible effect (message send, client callback), so an
-//                  acknowledged write is always durable, while concurrent
-//                  transactions share the same physical write+fsync.
+//                  buffered record into ONE batch frame + fsync.
+// The engine calls Flush() before releasing any externally visible
+// effect (message send, client callback), so under kFlushOnly and
+// kGroupCommit an acknowledged write has always reached the OS (and,
+// under group commit, the disk), while the records of one engine step —
+// and of concurrent transactions — share one physical write.
 #ifndef SRC_STORE_WAL_H_
 #define SRC_STORE_WAL_H_
 
@@ -85,7 +89,7 @@ struct WalRecord {
 class Wal {
  public:
   enum class SyncPolicy : uint8_t {
-    kFlushOnly,    // write + fflush per append (today's default)
+    kFlushOnly,    // buffer frames in stdio; Flush() does one fflush
     kEveryAppend,  // write + fflush + fsync per append
     kGroupCommit,  // buffer appends; Flush() writes one batch + fsync
   };
@@ -115,10 +119,11 @@ class Wal {
 
   Status Append(const WalRecord& record);
 
-  // Group-commit barrier: blocks until every record appended before this
-  // call is durable (one coalesced write + fsync, shared with concurrent
-  // callers). No-op under the per-append policies, whose appends are
-  // already as durable as they will get.
+  // Durability barrier: returns once every record appended before this
+  // call is as durable as the policy promises. kFlushOnly: one fflush of
+  // the buffered frames (nothing to do when none are buffered).
+  // kGroupCommit: one coalesced write + fsync, shared with concurrent
+  // callers. kEveryAppend: no-op, its appends are already synced.
   Status Flush();
 
   // Strong barrier: Flush() plus an unconditional fsync.
@@ -133,9 +138,8 @@ class Wal {
   const std::string& path() const { return path_; }
   uint64_t records_appended() const;
 
-  // Group-commit accounting: physical batch frames written and records
-  // they carried (counts singles written by per-append policies too, as
-  // batches of one).
+  // Physical writes (a kFlushOnly fflush, a kGroupCommit batch frame, a
+  // kEveryAppend record) and the records they carried.
   uint64_t batches_flushed() const;
   uint64_t records_flushed() const;
 

@@ -32,8 +32,9 @@
 // and client callbacks are deferred to after unlock, so the engine never
 // calls out while holding its lock. Hot-path work that doesn't need the
 // protocol state stays off that mutex: txn-id allocation is a lone
-// atomic, item data lives in the ItemStore's own sharded locks, and WAL
-// group-commit fsyncs happen at the FlushOutbox barrier — after unlock.
+// atomic, item data lives in the ItemStore's own sharded locks, and the
+// WAL's physical writes (and group-commit fsyncs) happen at the
+// FlushOutbox barrier — after unlock.
 // The same object is driven by the deterministic simulator and by real
 // threads.
 #ifndef SRC_TXN_ENGINE_H_

@@ -188,12 +188,14 @@ void TxnEngine::OnMessage(SiteId from, const Message& msg) {
 }
 
 void TxnEngine::FlushOutbox(Outbox* out) {
-  // Group-commit barrier: nothing externally visible — no message, no
+  // Durability barrier: nothing externally visible — no message, no
   // client callback — leaves this engine until every WAL record logged
-  // so far is durable. Under per-append sync policies this is a no-op;
-  // under group commit it coalesces all records appended during the
-  // locked section (and by concurrent transactions) into one
-  // write+fsync, performed here, outside the engine lock.
+  // so far is as durable as the sync policy promises. The records
+  // appended during the locked section (and by concurrent transactions)
+  // leave in one physical write, performed here, outside the engine
+  // lock: one fflush under kFlushOnly, one batch frame + fsync under
+  // group commit. Only kEveryAppend, which syncs each append, makes it
+  // a no-op.
   if (wal_ != nullptr && !(out->sends.empty() && out->thunks.empty())) {
     const Status s = wal_->Flush();
     if (!s.ok()) {

@@ -318,9 +318,9 @@ void TxnEngine::ApplyInDoubtPolicy(TxnId txn, Participation* part,
       }
       ClearPreparedDurable(txn);
       ReleaseLocks(txn, out);
-      participations_.erase(txn);
       Trace(TraceEventType::kUncertainRelease, txn, false,
             part->pending_writes.size());
+      participations_.erase(txn);  // invalidates part
       out->thunks.push_back([this] { EnsureInquiryLoop(); });
       break;
     }

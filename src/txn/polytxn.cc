@@ -16,6 +16,14 @@ struct Alternative {
   TxnReads reads;
 };
 
+// The ABORTED status for logic that aborted under `condition`.
+Status LogicAborted(const TxnEffect& effect, const Condition& condition) {
+  return AbortedError(effect.abort_reason.empty()
+                          ? "logic aborted under alternative " +
+                                condition.ToString()
+                          : effect.abort_reason);
+}
+
 }  // namespace
 
 Result<PolyTxnResult> ExecutePolyTransaction(
@@ -25,6 +33,10 @@ Result<PolyTxnResult> ExecutePolyTransaction(
   // Partition: start from the single alternative T_true and split on each
   // polyvalued input (§3.2: reading {⟨v_i, c_i⟩} splits T_c into {T_c∧ci}).
   PolyTxnResult result;
+  // Every computed item value enters the result here, on both paths.
+  const auto add_write = [&result](const ItemKey& key, PolyValue value) {
+    result.writes.emplace(key, std::move(value));
+  };
   std::vector<Alternative> alternatives(1);
   for (const auto& [key, poly] : inputs) {
     if (poly.is_certain()) {
@@ -59,6 +71,21 @@ Result<PolyTxnResult> ExecutePolyTransaction(
       return InternalError(
           "all alternatives pruned — input polyvalues are inconsistent");
     }
+  }
+
+  if (alternatives.size() == 1 && alternatives[0].condition.is_true()) {
+    // Every input is certain: a plain transaction. It runs once, with no
+    // access tracking or memo entry, and all it computes is certain.
+    TxnEffect effect = logic(alternatives[0].reads);
+    result.alternatives_executed = 1;
+    if (effect.abort) {
+      return LogicAborted(effect, alternatives[0].condition);
+    }
+    for (auto& [key, value] : effect.writes) {
+      add_write(key, PolyValue::Certain(std::move(value)));
+    }
+    result.output = PolyValue::Certain(effect.output.value_or(Value::Null()));
+    return result;
   }
 
   // Execute each alternative transaction — memoised per §3.2's second
@@ -118,10 +145,7 @@ Result<PolyTxnResult> ExecutePolyTransaction(
     if (effect.abort) {
       // Conservative rule: an abort by any reachable alternative aborts
       // the transaction (the commit decision cannot be conditional).
-      return AbortedError(effect.abort_reason.empty()
-                              ? "logic aborted under alternative " +
-                                    alt.condition.ToString()
-                              : effect.abort_reason);
+      return LogicAborted(effect, alt.condition);
     }
     executed.push_back({std::move(alt.condition), std::move(effect)});
   }
@@ -155,7 +179,7 @@ Result<PolyTxnResult> ExecutePolyTransaction(
         }
       }
     }
-    result.writes.emplace(key, PolyValue::Of(std::move(pairs)));
+    add_write(key, PolyValue::Of(std::move(pairs)));
   }
 
   // Assemble the client-visible output.

@@ -147,6 +147,59 @@ TEST_P(ConditionPropertyTest, BddRoundTripPreservesFunction) {
   }
 }
 
+// The general canonicaliser on `terms`: listing every term twice keeps
+// the function but forces the multi-term path (dedupe, absorption,
+// consensus) that a condition with at most one term skips.
+Condition ViaGeneralPath(const std::vector<Term>& terms) {
+  std::vector<Term> doubled = terms;
+  doubled.insert(doubled.end(), terms.begin(), terms.end());
+  return Condition::Of(std::move(doubled));
+}
+
+// The trivial-case fast paths — a condition of at most one term, And
+// with a TRUE operand — give exactly what the general canonicaliser
+// gives, and the BDD oracle's function.
+TEST_P(ConditionPropertyTest, TrivialFastPathsMatchGeneralPathAndBdd) {
+  Rng rng(GetParam());
+  const Condition truth = Condition::True();
+  EXPECT_EQ(truth, ViaGeneralPath(truth.terms()));
+  EXPECT_TRUE(truth.is_true());
+  const Term contradiction =
+      Term::And(Term::Committed(TxnId(1)), Term::Aborted(TxnId(1)));
+  EXPECT_TRUE(Condition::Of({contradiction}).is_false());
+  EXPECT_EQ(Condition::Of({contradiction}),
+            ViaGeneralPath({contradiction}));
+  for (int trial = 0; trial < 100; ++trial) {
+    BddManager bdd;
+    const Condition c = RandomCondition(&rng, 3);
+    const BddRef fc = bdd.FromCondition(c);
+
+    // And(TRUE, c) and And(c, TRUE) return c itself; the product the
+    // general path would form is TRUE·t for every term t of c.
+    std::vector<Term> products;
+    for (const Term& t : c.terms()) {
+      products.push_back(Term::And(Term(), t));
+    }
+    const Condition general = ViaGeneralPath(products);
+    EXPECT_EQ(Condition::And(truth, c), general) << c.ToString();
+    EXPECT_EQ(Condition::And(c, truth), general) << c.ToString();
+    ExpectSameFunction(Condition::And(truth, c), &bdd, fc);
+
+    // Every single term is its own canonical condition: the conjunction
+    // of its literals.
+    for (const Term& t : c.terms()) {
+      const Condition single = Condition::Of({t});
+      EXPECT_EQ(single, ViaGeneralPath({t})) << t.ToString();
+      BddRef conjunction = BddManager::kTrue;
+      for (const Literal& lit : t.literals()) {
+        const BddRef var = bdd.Var(lit.txn);
+        conjunction = bdd.And(conjunction, lit.positive ? var : bdd.Not(var));
+      }
+      ExpectSameFunction(single, &bdd, conjunction);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ConditionPropertyTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 

@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "src/obs/audit.h"
+#include "src/store/wal.h"
 #include "src/system/cluster.h"
 
 namespace polyvalue {
@@ -174,6 +175,51 @@ TEST_F(WalRecoveryTest, CoordinatorDecisionSurvivesRestart) {
 
   RestartSiteFromDisk(0);
   EXPECT_EQ(sites_[0]->engine().DecidedOutcome(txn), true);
+  ExpectLegalTrace();
+}
+
+// Flush-only logging buffers WAL records until the engine's ack
+// barrier. By the time the client hears "committed", the coordinator's
+// decision and every participant's READY vote must already be in the
+// log files — read here while every site is still running, which is
+// what a process crash at that instant would leave on disk.
+TEST_F(WalRecoveryTest, AckedCommitIsInTheLogFilesAtTheCallback) {
+  sites_[1]->Load("a", Value::Int(1));
+  sites_[2]->Load("b", Value::Int(2));
+  TxnSpec spec;
+  spec.ReadWrite("a", SiteId(2));
+  spec.ReadWrite("b", SiteId(3));
+  spec.Logic([](const TxnReads& reads) {
+    TxnEffect e;
+    e.writes["a"] = Value::Int(reads.IntAt("a") + 1);
+    e.writes["b"] = Value::Int(reads.IntAt("b") - 1);
+    return e;
+  });
+  const auto logged = [this](int site, TxnId txn, WalRecordType type) {
+    const auto records = Wal::ReplayFile(wal_paths_[site]);
+    EXPECT_TRUE(records.ok()) << records.status();
+    for (const WalRecord& r : records.value()) {
+      if (r.txn == txn && r.type == type &&
+          (type != WalRecordType::kOutcome || r.committed)) {
+        return true;
+      }
+    }
+    return false;
+  };
+  std::optional<TxnResult> result;
+  bool outcome_logged = false;
+  bool votes_logged = false;
+  sites_[0]->Submit(std::move(spec), [&](const TxnResult& r) {
+    result = r;
+    outcome_logged = logged(0, r.id, WalRecordType::kOutcome);
+    votes_logged = logged(1, r.id, WalRecordType::kPrepared) &&
+                   logged(2, r.id, WalRecordType::kPrepared);
+  });
+  sim_.RunUntil(1.0);
+  ASSERT_TRUE(result.has_value());
+  ASSERT_TRUE(result->committed());
+  EXPECT_TRUE(outcome_logged);
+  EXPECT_TRUE(votes_logged);
   ExpectLegalTrace();
 }
 

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -319,6 +320,83 @@ TEST(PaxosPropertyTest, RecoveryRevotesInTxnOrder) {
   for (size_t i = 0; i < events.size(); ++i) {
     ASSERT_EQ(events[i].ToString(), again[i].ToString()) << "event " << i;
   }
+}
+
+// The recovery round counter lives in the volatile leadership, which a
+// crash wipes. Recovery ballots the RM runs after it recovers must still
+// exceed every ballot it ran for the same transaction before the crash:
+// a reused ballot would let a stale pre-crash Phase1b count toward the
+// new round.
+TEST(PaxosPropertyTest, RecoveryBallotsAfterCrashExceedEarlierOnes) {
+  const std::vector<TraceEvent> events = RecoverWithUndecidedVotes();
+  const SiteId rm(2);
+  std::map<TxnId, uint64_t> highest_before_crash;
+  std::set<TxnId> ballots_after_recover;
+  bool recovered = false;
+  for (const TraceEvent& e : events) {
+    if (e.site != rm) {
+      continue;
+    }
+    if (e.type == TraceEventType::kRecover) {
+      recovered = true;
+    }
+    if (e.type != TraceEventType::kPaxosRecoveryBallot) {
+      continue;
+    }
+    if (!recovered) {
+      uint64_t& highest = highest_before_crash[e.txn];
+      highest = std::max(highest, e.arg);
+      continue;
+    }
+    ballots_after_recover.insert(e.txn);
+    const auto before = highest_before_crash.find(e.txn);
+    if (before != highest_before_crash.end()) {
+      EXPECT_GT(e.arg, before->second)
+          << e.txn << " reran ballot " << e.arg << " after recovering";
+    }
+  }
+  ASSERT_TRUE(recovered);
+  // The scenario must exercise the property: some transaction had
+  // recovery ballots on both sides of the crash.
+  size_t spanning = 0;
+  for (TxnId txn : ballots_after_recover) {
+    spanning += highest_before_crash.count(txn);
+  }
+  EXPECT_GT(spanning, 0u);
+}
+
+// A site leads at most one recovery ballot per transaction at a time: a
+// new one may only replace a ballot whose own failover timeout expired
+// (LeaderTimeout escalation). The RM's FailoverTick landing on its own
+// site while it already leads must not start a second, competing round.
+TEST(PaxosPropertyTest, OneRecoveryBallotPerTxnPerSiteAtATime) {
+  constexpr double kFailoverTimeout = 0.05;  // RecoverWithUndecidedVotes
+  const std::vector<TraceEvent> events = RecoverWithUndecidedVotes();
+  std::map<std::pair<SiteId, TxnId>, double> last_ballot_at;
+  size_t ballots = 0;
+  for (const TraceEvent& e : events) {
+    if (e.type == TraceEventType::kCrash) {
+      // A crash ends every leadership the site held.
+      for (auto it = last_ballot_at.begin(); it != last_ballot_at.end();) {
+        it = it->first.first == e.site ? last_ballot_at.erase(it)
+                                       : std::next(it);
+      }
+      continue;
+    }
+    if (e.type != TraceEventType::kPaxosRecoveryBallot) {
+      continue;
+    }
+    ++ballots;
+    const auto key = std::make_pair(e.site, e.txn);
+    const auto last = last_ballot_at.find(key);
+    if (last != last_ballot_at.end()) {
+      EXPECT_GE(e.time - last->second, kFailoverTimeout - 1e-9)
+          << e.site << " started ballot " << e.arg << " for " << e.txn
+          << " while its previous one was live";
+    }
+    last_ballot_at[key] = e.time;
+  }
+  EXPECT_GT(ballots, 0u);
 }
 
 }  // namespace

@@ -211,5 +211,78 @@ TEST(PolyTxnTest, EqualResultsCollapseToCertain) {
   EXPECT_EQ(result->writes.at("sq").certain_value(), Value::Int(9));
 }
 
+// Logic over accounts "a" and "b" that a test can make abort.
+TxnLogic TransferLogic(bool abort, std::string reason) {
+  return [abort, reason](const TxnReads& reads) {
+    if (abort) {
+      return TxnEffect::Abort(reason);
+    }
+    TxnEffect e;
+    e.writes["a"] = Value::Int(reads.IntAt("a") - 3);
+    e.writes["b"] = Value::Int(reads.IntAt("b") + 3);
+    e.output = Value::Int(reads.IntAt("a") + reads.IntAt("b"));
+    return e;
+  };
+}
+
+// All-certain inputs take the single-execution fast path. The general
+// path, forced here by one extra uncertain input the logic never reads,
+// must reach exactly the same certain writes and output.
+TEST(PolyTxnTest, AllCertainFastPathMatchesGeneralPath) {
+  const std::map<ItemKey, PolyValue> certain = {
+      {"a", PolyValue::Certain(Value::Int(10))},
+      {"b", PolyValue::Certain(Value::Int(4))}};
+  std::map<ItemKey, PolyValue> forked = certain;
+  forked.emplace("unread", TwoWay(kT1, 1, 2));
+  const std::map<ItemKey, PolyValue> previous = certain;
+
+  const auto fast =
+      ExecutePolyTransaction(certain, previous, TransferLogic(false, ""));
+  const auto general =
+      ExecutePolyTransaction(forked, previous, TransferLogic(false, ""));
+  ASSERT_TRUE(fast.ok());
+  ASSERT_TRUE(general.ok());
+  EXPECT_EQ(fast->alternatives_executed, 1u);
+  EXPECT_EQ(fast->alternatives_memoized, 0u);
+  EXPECT_EQ(general->alternatives_executed, 1u);
+  EXPECT_EQ(general->alternatives_memoized, 1u);
+  EXPECT_EQ(fast->writes, general->writes);
+  EXPECT_EQ(fast->output, general->output);
+  EXPECT_EQ(fast->writes.at("a"), PolyValue::Certain(Value::Int(7)));
+  EXPECT_EQ(fast->writes.at("b"), PolyValue::Certain(Value::Int(7)));
+  EXPECT_EQ(fast->output, PolyValue::Certain(Value::Int(14)));
+}
+
+// The fast path reports an abort with the same text as the general path:
+// the logic's reason, or — with none given — the alternative's
+// condition, which for all-certain inputs is "true".
+TEST(PolyTxnTest, AllCertainFastPathAbortText) {
+  const std::map<ItemKey, PolyValue> certain = {
+      {"a", PolyValue::Certain(Value::Int(10))},
+      {"b", PolyValue::Certain(Value::Int(4))}};
+  std::map<ItemKey, PolyValue> forked = certain;
+  forked.emplace("unread", TwoWay(kT1, 1, 2));
+
+  const auto fast = ExecutePolyTransaction(
+      certain, {}, TransferLogic(true, "insufficient funds"));
+  const auto general = ExecutePolyTransaction(
+      forked, {}, TransferLogic(true, "insufficient funds"));
+  EXPECT_EQ(fast.status().code(), StatusCode::kAborted);
+  EXPECT_EQ(fast.status().message(), "insufficient funds");
+  EXPECT_EQ(general.status().code(), StatusCode::kAborted);
+  EXPECT_EQ(general.status().message(), fast.status().message());
+
+  const auto unexplained =
+      ExecutePolyTransaction(certain, {}, TransferLogic(true, ""));
+  EXPECT_EQ(unexplained.status().code(), StatusCode::kAborted);
+  EXPECT_EQ(unexplained.status().message(),
+            "logic aborted under alternative true");
+  const auto unexplained_forked =
+      ExecutePolyTransaction(forked, {}, TransferLogic(true, ""));
+  EXPECT_EQ(unexplained_forked.status().message(),
+            "logic aborted under alternative " +
+                Condition::Committed(kT1).ToString());
+}
+
 }  // namespace
 }  // namespace polyvalue

@@ -202,5 +202,28 @@ TEST(PolyValueTest, PossibleValuesDistinct) {
   EXPECT_EQ(outer.PossibleValues().size(), 2u);
 }
 
+// A one-pair polyvalue skips the merge map; adding a dead pair forces
+// the merging path, which must agree — including on a lone dead pair,
+// which falls back to certain null.
+TEST(PolyValueTest, OnePairFastPathMatchesMergePath) {
+  const Value v = Value::Int(7);
+  const Condition dead = Condition::False();
+  for (const Condition& c :
+       {Condition::True(), Condition::Committed(TxnId(1)),
+        Condition::Or(Condition::Committed(TxnId(1)),
+                      Condition::Aborted(TxnId(2))),
+        dead}) {
+    SCOPED_TRACE(c.ToString());
+    EXPECT_EQ(PolyValue::Of({{v, c}}), PolyValue::Of({{v, c}, {v, dead}}));
+    EXPECT_EQ(PolyValue::Of({{v, c}}),
+              PolyValue::Of({{v, c}, {Value::Int(8), dead}}));
+  }
+  EXPECT_EQ(PolyValue::Of({{v, dead}}), PolyValue());
+  EXPECT_EQ(PolyValue::Certain(v),
+            PolyValue::Of({{v, Condition::True()}, {v, dead}}));
+  EXPECT_EQ(PolyValue(), PolyValue::Certain(Value::Null()));
+  EXPECT_TRUE(PolyValue::Certain(v).is_certain());
+}
+
 }  // namespace
 }  // namespace polyvalue

@@ -180,5 +180,70 @@ TEST_F(WalTest, SyncSucceeds) {
   EXPECT_TRUE(wal->Sync().ok());
 }
 
+// Flush-only logging hands the OS one write per Flush() barrier: an
+// append sits in the log's buffer until then, and afterwards every
+// record is readable while the log is still open — which is all a
+// process crash leaves behind.
+TEST_F(WalTest, FlushOnlyRecordsReachTheFileAtFlush) {
+  auto wal = Wal::Open(path_).value();
+  ASSERT_TRUE(wal->Append(WalRecord::Outcome(kT1, true)).ok());
+  ASSERT_TRUE(wal->Append(WalRecord::TrackItem(kT2, "k")).ok());
+  ASSERT_TRUE(wal->Append(WalRecord::Write("k", SamplePoly())).ok());
+  EXPECT_TRUE(Wal::ReplayFile(path_).value().empty());
+  EXPECT_EQ(wal->batches_flushed(), 0u);
+
+  ASSERT_TRUE(wal->Flush().ok());
+  auto records = Wal::ReplayFile(path_).value();
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].txn, kT1);
+  EXPECT_EQ(records[2].value, SamplePoly());
+  EXPECT_EQ(wal->batches_flushed(), 1u);
+  EXPECT_EQ(wal->records_flushed(), 3u);
+
+  // A barrier with nothing new to write costs no write.
+  ASSERT_TRUE(wal->Flush().ok());
+  EXPECT_EQ(wal->batches_flushed(), 1u);
+
+  ASSERT_TRUE(wal->Append(WalRecord::ForgetTxn(kT2)).ok());
+  ASSERT_TRUE(wal->Flush().ok());
+  records = Wal::ReplayFile(path_).value();
+  ASSERT_EQ(records.size(), 4u);
+  EXPECT_EQ(records[3].type, WalRecordType::kForgetTxn);
+  EXPECT_EQ(wal->batches_flushed(), 2u);
+  EXPECT_EQ(wal->records_flushed(), 4u);
+  EXPECT_EQ(wal->records_appended(), 4u);
+}
+
+// Records that leave in one flush keep one frame each, so a write torn
+// anywhere inside the last frame loses that record only.
+TEST_F(WalTest, FlushOnlyTornTailDropsOnlyTheLastRecord) {
+  auto wal = Wal::Open(path_).value();
+  ASSERT_TRUE(wal->Append(WalRecord::Outcome(kT1, true)).ok());
+  ASSERT_TRUE(wal->Append(WalRecord::Write("k", SamplePoly())).ok());
+  ASSERT_TRUE(wal->Append(WalRecord::Outcome(kT2, false)).ok());
+  ASSERT_TRUE(wal->Flush().ok());
+  ASSERT_EQ(wal->batches_flushed(), 1u);
+
+  std::ifstream in(path_, std::ios::binary);
+  const std::string data((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  in.close();
+  const size_t last_frame = 8 + WalRecord::Outcome(kT2, false).Encode().size();
+  ASSERT_GT(data.size(), last_frame);
+  const std::string torn_path = path_ + ".torn";
+  for (size_t cut = 1; cut < last_frame; ++cut) {
+    SCOPED_TRACE(cut);
+    {
+      std::ofstream out(torn_path, std::ios::binary | std::ios::trunc);
+      out.write(data.data(), data.size() - cut);
+    }
+    const auto records = Wal::ReplayFile(torn_path).value();
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_EQ(records[0].txn, kT1);
+    EXPECT_EQ(records[1].key, "k");
+  }
+  std::remove(torn_path.c_str());
+}
+
 }  // namespace
 }  // namespace polyvalue
