@@ -51,16 +51,13 @@
 //   kTransportEndpoint per-destination mailbox / tcp endpoint.
 //   kFaultPlan         drop/partition decisions, taken under Send().
 //   kTransportStats    mem transport counters.
-//   kEngine            the txn engine's one protocol mutex; handlers
+//   kEngine            a commit-protocol engine's one protocol mutex
+//                      (CommitProtocol::mu_, whichever leg); handlers
 //                      append to the WAL, touch the store/outcome
 //                      table, schedule timers and trace while holding
 //                      it (side effects to peers go through the Outbox
 //                      AFTER unlock, so kEngine < kTransport edges
-//                      never form).
-//   kPaxosEngine       the Paxos Commit engine's one protocol mutex;
-//                      same discipline as kEngine (Outbox after
-//                      unlock), ordered after it so a site hosting
-//                      both legs can never invert them.
+//                      never form). No engine calls into another.
 //   kScheduler         timer wheel; ScheduleAfter is called under the
 //                      engine mutex.
 //   kStoreLockPlane    item-store lock plane (disjoint from shards by
@@ -82,7 +79,6 @@
   X(kFaultPlan, 70)             \
   X(kTransportStats, 80)        \
   X(kEngine, 90)                \
-  X(kPaxosEngine, 95)           \
   X(kScheduler, 100)            \
   X(kStoreLockPlane, 110)       \
   X(kStoreShard, 120)           \
@@ -136,8 +132,7 @@ inline LockRankBoundary g_kOutcomeTable ACQUIRED_BEFORE(g_kWal);
 inline LockRankBoundary g_kStoreShard ACQUIRED_BEFORE(g_kOutcomeTable);
 inline LockRankBoundary g_kStoreLockPlane ACQUIRED_BEFORE(g_kStoreShard);
 inline LockRankBoundary g_kScheduler ACQUIRED_BEFORE(g_kStoreLockPlane);
-inline LockRankBoundary g_kPaxosEngine ACQUIRED_BEFORE(g_kScheduler);
-inline LockRankBoundary g_kEngine ACQUIRED_BEFORE(g_kPaxosEngine);
+inline LockRankBoundary g_kEngine ACQUIRED_BEFORE(g_kScheduler);
 inline LockRankBoundary g_kTransportStats ACQUIRED_BEFORE(g_kEngine);
 inline LockRankBoundary g_kFaultPlan ACQUIRED_BEFORE(g_kTransportStats);
 inline LockRankBoundary g_kTransportEndpoint ACQUIRED_BEFORE(g_kFaultPlan);

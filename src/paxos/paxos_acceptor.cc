@@ -1,10 +1,10 @@
-// RM + acceptor roles. The RM half mirrors the 2PC participant's
-// compute phase (lock, read, reply, await writes), but instead of READY
-// it durably saves the shipped writes and broadcasts its own Paxos
-// instance's Phase2a(ballot 0, Prepared) to every acceptor — after
-// which it is *never* in doubt about whom to ask: any site can finish
-// the decision. The acceptor half is textbook Paxos, one instance per
-// RM in the group, keyed by (txn, rm).
+// RM + acceptor roles. The RM's compute phase is the shared one
+// (compute_phase.cc); on WRITE_REQ, instead of READY, the RM durably
+// saves the shipped writes and broadcasts its own Paxos instance's
+// Phase2a(ballot 0, Prepared) to every acceptor — after which it is
+// *never* in doubt about whom to ask: any site can finish the decision.
+// The acceptor half is textbook Paxos, one instance per RM in the
+// group, keyed by (txn, rm).
 #include "src/paxos/paxos_engine.h"
 
 #include <algorithm>
@@ -15,131 +15,21 @@
 
 namespace polyvalue {
 
-void PaxosEngine::HandlePrepare(SiteId from, const Message& msg,
-                                Outbox* out) {
-  (void)from;
-  const TxnId txn = msg.txn;
-  if (participations_.count(txn) > 0 || prepared_.count(txn) > 0 ||
-      decided_.count(txn) > 0) {
-    Trace(TraceEventType::kMsgIgnored, txn, false,
-          static_cast<uint64_t>(MsgType::kPrepare));
-    return;  // duplicate PREPARE (or txn already settled here)
-  }
-
-  // idle -> compute: lock every item this site contributes, then read.
-  // The Paxos leg always locks no-wait: its decisions never stall on a
-  // failed coordinator, so lock queues would only add deadlock risk.
-  Participation part;
-  part.leader = msg.coordinator;
-  part.state = PartState::kCompute;
-  part.group = msg.group;
-  part.compute_entered_at = scheduler_->Now();
-
-  std::vector<ItemKey> all_keys = msg.read_keys;
-  all_keys.insert(all_keys.end(), msg.write_keys.begin(),
-                  msg.write_keys.end());
-  std::sort(all_keys.begin(), all_keys.end());
-  all_keys.erase(std::unique(all_keys.begin(), all_keys.end()),
-                 all_keys.end());
-
-  for (const ItemKey& key : all_keys) {
-    const Status lock_status = items_->Lock(key, txn);
-    if (!lock_status.ok()) {
-      ReleaseLocks(txn, out);
-      Trace(TraceEventType::kPrepareRefused, txn);
-      out->sends.emplace_back(msg.coordinator,
-                              MakePrepareRefusal(txn, lock_status.message()));
-      return;
-    }
-    part.locked_keys.push_back(key);
-  }
-
-  std::map<ItemKey, PolyValue> values;
-  for (const ItemKey& key : all_keys) {
-    Result<PolyValue> value = items_->Read(key);
-    if (!value.ok()) {
-      const bool is_write_only =
-          std::find(msg.read_keys.begin(), msg.read_keys.end(), key) ==
-          msg.read_keys.end();
-      if (is_write_only) {
-        // Creating a new item: previous value is Null.
-        values.emplace(key, PolyValue::Certain(Value::Null()));
-        continue;
-      }
-      ReleaseLocks(txn, out);
-      Trace(TraceEventType::kPrepareRefused, txn);
-      out->sends.emplace_back(
-          msg.coordinator,
-          MakePrepareRefusal(txn, value.status().message()));
-      return;
-    }
-    values.emplace(key, std::move(value).value());
-  }
-
-  // Compute-phase watchdog: if the leader dies before shipping writes,
-  // discard. We have not voted, so unilateral abort is safe — and the
-  // leader's own compute-phase timeout fixes ABORT for the client.
-  part.timer = ScheduleGuarded(
-      config_.prepare_timeout + config_.ready_timeout,
-      [this, txn] { ComputeWatchdog(txn); });
-
-  auto [it, inserted] = participations_.emplace(txn, std::move(part));
-  POLYV_CHECK(inserted);
-  Trace(TraceEventType::kPrepareRecv, txn);
-  Trace(TraceEventType::kPrepareReplied, txn, /*flag=*/true);
-  out->sends.emplace_back(it->second.leader,
-                          MakePrepareReply(txn, std::move(values)));
+void PaxosEngine::TrackShipped(const PolyValue& value, SiteId to) {
+  // The Paxos leg installs only certain values, so nothing it ships
+  // depends on another transaction's outcome.
+  (void)value;
+  (void)to;
 }
 
-void PaxosEngine::ComputeWatchdog(TxnId txn) {
-  Outbox out;
-  {
-    MutexLock lock(&mu_);
-    if (crashed_) {
-      return;
-    }
-    auto it = participations_.find(txn);
-    if (it == participations_.end() ||
-        it->second.state != PartState::kCompute) {
-      return;  // writes arrived (or outcome already applied)
-    }
-    ReleaseLocks(txn, &out);
-    participations_.erase(it);
-    Trace(TraceEventType::kComputeDiscard, txn);
-  }
-  FlushOutbox(&out);
-}
-
-void PaxosEngine::HandleWriteReq(SiteId from, const Message& msg,
-                                 Outbox* out) {
+void PaxosEngine::Vote(TxnId txn, SiteId from, Participation* part,
+                       const std::map<ItemKey, PolyValue>& writes,
+                       Outbox* out) {
   (void)from;
-  const TxnId txn = msg.txn;
-  auto it = participations_.find(txn);
-  if (it == participations_.end() ||
-      it->second.state != PartState::kCompute) {
-    Trace(TraceEventType::kMsgIgnored, txn, false,
-          static_cast<uint64_t>(MsgType::kWriteReq));
-    return;  // discarded by the watchdog, or a duplicate
-  }
-  Participation& part = it->second;
-  if (part.timer != 0) {
-    scheduler_->Cancel(part.timer);
-    part.timer = 0;
-  }
-  const double now = scheduler_->Now();
-  metrics_.compute_phase_seconds += now - part.compute_entered_at;
-  ++metrics_.compute_phase_count;
-  part.state = PartState::kWait;
-  part.wait_entered_at = now;
-
   // The durable vote: saving the writes and casting Phase2a(0, Prepared)
   // are one atomic step by contract (prepared_ survives Crash()).
-  Prepared prep;
-  prep.leader = part.leader;
-  prep.group = part.group;
-  prep.writes = msg.writes;
-  prepared_.emplace(txn, std::move(prep));
-  VoteAndArm(txn, &part, out);
+  prepared_.emplace(txn, Prepared{part->coordinator, part->group, writes});
+  VoteAndArm(txn, part, out);
 }
 
 void PaxosEngine::VoteAndArm(TxnId txn, Participation* part, Outbox* out) {
@@ -262,21 +152,10 @@ void PaxosEngine::HandleDecision(SiteId from, const Message& msg,
                 : TraceEventType::kMsgIgnored,
         msg.txn, /*flag=*/learned && msg.committed,
         learned ? 0 : static_cast<uint64_t>(MsgType::kPaxosDecision));
-  auto lead_it = leaderships_.find(msg.txn);
-  if (lead_it != leaderships_.end()) {
-    // Another leader finished the decision first. If we are the
-    // original leader, the client is still waiting on us.
-    if (lead_it->second.has_spec) {
-      DeliverClientResult(msg.txn, &lead_it->second, msg.committed,
-                          msg.committed ? "" : "aborted by recovery leader",
-                          out);
-    } else {
-      if (lead_it->second.timer != 0) {
-        scheduler_->Cancel(lead_it->second.timer);
-      }
-      leaderships_.erase(lead_it);
-    }
-  }
+  // Another leader may have finished the decision first. If we are the
+  // original leader, the client is still waiting on us.
+  EndLeadership(msg.txn, msg.committed,
+                msg.committed ? "" : "aborted by recovery leader", out);
   if (participations_.count(msg.txn) > 0) {
     ApplyOutcome(msg.txn, msg.committed, out);
   }
@@ -309,12 +188,7 @@ void PaxosEngine::ApplyOutcome(TxnId txn, bool committed, Outbox* out) {
       scheduler_->Cancel(part.timer);
       part.timer = 0;
     }
-    if (part.state == PartState::kWait) {
-      const double waited = scheduler_->Now() - part.wait_entered_at;
-      metrics_.wait_phase_seconds += waited;
-      ++metrics_.wait_phase_count;
-      metrics_.wait_phase_max = std::max(metrics_.wait_phase_max, waited);
-    }
+    EndWaitPhase(&part);
     const auto prep = prepared_.find(txn);
     if (committed && prep != prepared_.end()) {
       for (const auto& [key, value] : prep->second.writes) {
@@ -322,16 +196,9 @@ void PaxosEngine::ApplyOutcome(TxnId txn, bool committed, Outbox* out) {
       }
     }
     ReleaseLocks(txn, out);
-    participations_.erase(it);
+    participations_.erase(txn);
   }
   prepared_.erase(txn);
-}
-
-void PaxosEngine::ReleaseLocks(TxnId txn, Outbox* out) {
-  (void)out;
-  items_->CancelWaits(txn);
-  // No-wait locking: UnlockAll never wakes queued waiters in this leg.
-  (void)items_->UnlockAll(txn);
 }
 
 }  // namespace polyvalue

@@ -1,7 +1,7 @@
-// Leader role: Submit → PREPARE fan-out → execute (poly)transaction →
-// WRITE_REQ fan-out → Phase2b tally per RM instance → decision
-// broadcast. Also the recovery-ballot leader (Phase1a/1b → Phase2a)
-// that any site becomes when nudged about a stalled transaction.
+// Leader role: once the shared compute phase has shipped the writes,
+// the Phase2b tally per RM instance → decision broadcast. Also the
+// recovery-ballot leader (Phase1a/1b → Phase2a) that any site becomes
+// when nudged about a stalled transaction.
 #include <algorithm>
 
 #include "src/common/check.h"
@@ -11,192 +11,45 @@
 
 namespace polyvalue {
 
-void PaxosEngine::SubmitUnderLock(TxnSpec spec, TxnCallback callback,
-                                  TxnId txn, Outbox* out) {
-  MutexLock lock(&mu_);
-  ++metrics_.txns_submitted;
-  if (crashed_) {
-    out->thunks.push_back([callback = std::move(callback), txn] {
-      TxnResult r;
-      r.id = txn;
-      r.disposition = TxnDisposition::kAborted;
-      r.abort_reason = "coordinator site is down";
-      callback(r);
-    });
-    return;
-  }
-  Trace(TraceEventType::kSubmit, txn);
-  Leadership lead;
-  lead.has_spec = true;
-  lead.participants = spec.Participants();
-  lead.callback = std::move(callback);
-
-  if (lead.participants.empty()) {
-    // Pure computation: no RM group, no Paxos instances. Execute
-    // immediately against an empty read set, same as the 2PC leg.
-    TxnEffect effect = spec.logic(TxnReads{});
-    TxnResult r;
-    r.id = txn;
-    if (effect.abort) {
-      ++metrics_.txns_aborted;
-      Trace(TraceEventType::kDecisionAbort, txn);
-      r.disposition = TxnDisposition::kAborted;
-      r.abort_reason = effect.abort_reason;
-    } else {
-      POLYV_CHECK_MSG(effect.writes.empty(),
-                      "transaction writes items but declared no sites");
-      ++metrics_.txns_read_only;
-      Trace(TraceEventType::kReadOnlyDone, txn);
-      r.disposition = TxnDisposition::kReadOnly;
-      r.output = PolyValue::Certain(effect.output.value_or(Value::Null()));
-    }
-    out->thunks.push_back([cb = std::move(lead.callback), r] { cb(r); });
-    return;
-  }
-
-  // Compute phase, identical wire traffic to 2PC — except the PREPARE
-  // carries the RM group, so every vote/nudge can name the full
-  // instance set to a future recovery leader.
-  for (SiteId site : lead.participants) {
-    std::vector<ItemKey> reads;
-    std::vector<ItemKey> writes;
-    for (const auto& [key, owner] : spec.read_set) {
-      if (owner == site) {
-        reads.push_back(key);
-      }
-    }
-    for (const auto& [key, owner] : spec.write_set) {
-      if (owner == site) {
-        writes.push_back(key);
-      }
-    }
-    lead.awaiting.insert(site);
-    Message prepare =
-        MakePrepare(txn, self_, std::move(reads), std::move(writes));
-    prepare.group = lead.participants;
-    out->sends.emplace_back(site, std::move(prepare));
-  }
-  lead.spec = std::move(spec);
-  lead.timer = ScheduleGuarded(config_.prepare_timeout,
-                               [this, txn] { LeaderTimeout(txn); });
-  leaderships_.emplace(txn, std::move(lead));
+bool PaxosEngine::TryLocalFastPath(TxnId txn, const TxnSpec& spec,
+                                   const TxnCallback& callback, Outbox* out) {
+  (void)txn;
+  (void)spec;
+  (void)callback;
+  (void)out;
+  return false;
 }
 
-void PaxosEngine::HandlePrepareReply(SiteId from, const Message& msg,
-                                     Outbox* out) {
-  auto it = leaderships_.find(msg.txn);
-  if (it == leaderships_.end() ||
-      it->second.phase != LeaderPhase::kCollecting) {
-    Trace(TraceEventType::kMsgIgnored, msg.txn, false,
-          static_cast<uint64_t>(MsgType::kPrepareReply));
-    return;  // stale (txn decided or already past the compute phase)
-  }
-  Leadership& lead = it->second;
-  if (!msg.ok) {
-    AbortBeforeVotes(msg.txn, &lead,
-                     StrCat("participant ", from, " refused: ", msg.error),
-                     out);
-    return;
-  }
-  if (lead.awaiting.erase(from) == 0) {
-    Trace(TraceEventType::kMsgIgnored, msg.txn, false,
-          static_cast<uint64_t>(MsgType::kPrepareReply));
-    return;  // duplicate
-  }
-  for (const auto& [key, value] : msg.values) {
-    lead.collected.insert_or_assign(key, value);
-  }
-  Trace(TraceEventType::kVoteCollected, msg.txn,
-        /*flag=*/lead.awaiting.empty(), lead.awaiting.size());
-  if (!lead.awaiting.empty()) {
-    return;
-  }
-  ExecuteAndShip(msg.txn, &lead, out);
+void PaxosEngine::FillPrepare(const Coordination& coord, Message* prepare) {
+  // The PREPARE carries the RM group, so every vote/nudge can name the
+  // full instance set to a future recovery leader.
+  prepare->group = coord.participants;
 }
 
-void PaxosEngine::ExecuteAndShip(TxnId txn, Leadership* lead, Outbox* out) {
-  scheduler_->Cancel(lead->timer);
-  lead->timer = 0;
-
-  // Split the collected values into logic inputs (read set) and
-  // previous values (write set); a read-write item appears in both.
-  std::map<ItemKey, PolyValue> inputs;
-  std::map<ItemKey, PolyValue> previous;
-  for (const auto& [key, owner] : lead->spec.read_set) {
-    auto found = lead->collected.find(key);
-    POLYV_CHECK_MSG(found != lead->collected.end(),
-                    "participant did not return read item '" << key << "'");
-    inputs.emplace(key, found->second);
-  }
-  for (const auto& [key, owner] : lead->spec.write_set) {
-    auto found = lead->collected.find(key);
-    if (found != lead->collected.end()) {
-      previous.emplace(key, found->second);
-    }
-  }
-
-  PolyTxnOptions options;
-  options.max_alternatives = config_.max_alternatives;
-  Result<PolyTxnResult> result =
-      ExecutePolyTransaction(inputs, previous, lead->spec.logic, options);
-  if (!result.ok()) {
-    AbortBeforeVotes(txn, lead, result.status().message(), out);
-    return;
-  }
-  metrics_.alternatives_executed += result->alternatives_executed;
-  lead->output = result->output;
-
-  if (result->writes.empty()) {
-    // Read-only: nothing to choose. Fix ABORT so the RMs release their
-    // locks (they have no prepared writes to lose) and report success.
-    RecordDecision(txn, /*committed=*/false);
-    TxnResult r;
-    r.id = txn;
-    r.disposition = TxnDisposition::kReadOnly;
-    r.output = lead->output;
-    ++metrics_.txns_read_only;
-    Trace(TraceEventType::kReadOnlyDone, txn);
-    for (SiteId site : lead->participants) {
-      out->sends.emplace_back(site, MakePaxosDecision(txn, false));
-    }
-    out->thunks.push_back([cb = lead->callback, r] { cb(r); });
-    leaderships_.erase(txn);
-    return;
-  }
-
-  // Ship each RM its writes; on receipt it saves them durably and casts
-  // its Phase2a(ballot 0, Prepared) vote to every acceptor. This leader
-  // tallies the echoes at ballot 0.
-  lead->phase = LeaderPhase::kVoting;
-  lead->ballot = 0;
-  for (SiteId site : lead->participants) {
-    std::map<ItemKey, PolyValue> site_writes;
-    for (const auto& [key, value] : result->writes) {
-      auto owner = lead->spec.write_set.find(key);
-      POLYV_CHECK_MSG(owner != lead->spec.write_set.end(),
-                      "logic wrote undeclared item '" << key << "'");
-      if (owner->second == site) {
-        site_writes.emplace(key, value);
-      }
-    }
-    out->sends.emplace_back(site, MakeWriteReq(txn, std::move(site_writes)));
-  }
-  Trace(TraceEventType::kWriteShipped, txn, false,
-        lead->participants.size());
-  lead->timer = ScheduleGuarded(config_.ready_timeout,
-                                [this, txn] { LeaderTimeout(txn); });
-}
-
-void PaxosEngine::AbortBeforeVotes(TxnId txn, Leadership* lead,
-                                   const std::string& reason, Outbox* out) {
+void PaxosEngine::ReleaseParticipants(TxnId txn,
+                                      const std::vector<SiteId>& participants,
+                                      Outbox* out) {
   // No RM has voted yet (votes only follow WRITE_REQ), so no instance
   // can ever choose Prepared — deciding ABORT locally is safe, and no
-  // recovery leader can contradict it.
+  // recovery leader can contradict it. The RMs release their locks
+  // (they have no prepared writes to lose).
   RecordDecision(txn, /*committed=*/false);
-  for (SiteId site : lead->participants) {
+  for (SiteId site : participants) {
     out->sends.emplace_back(site, MakePaxosDecision(txn, false));
   }
-  DeliverClientResult(txn, lead, /*commit=*/false, reason, out);
+}
+
+void PaxosEngine::AwaitVotes(TxnId txn, Coordination* coord, Outbox* out) {
+  (void)out;
+  // On receipt of its writes each RM saves them durably and casts its
+  // Phase2a(ballot 0, Prepared) vote to every acceptor. This leader
+  // tallies the echoes at ballot 0.
+  Leadership& lead = leaderships_[txn];
+  lead.phase = LeaderPhase::kVoting;
+  lead.ballot = 0;
+  lead.participants = coord->participants;
+  lead.timer = ScheduleGuarded(config_.ready_timeout,
+                               [this, txn] { LeaderTimeout(txn); });
 }
 
 void PaxosEngine::HandlePhase2b(SiteId from, const Message& msg,
@@ -252,44 +105,26 @@ void PaxosEngine::FinishTally(TxnId txn, Leadership* lead, Outbox* out) {
   RecordDecision(txn, commit);
   Trace(TraceEventType::kPaxosDecide, txn, /*flag=*/commit, lead->ballot);
   BroadcastDecision(txn, commit, out);
-  if (lead->has_spec) {
-    DeliverClientResult(txn, lead, commit,
-                        commit ? "" : "paxos instances chose abort", out);
-    return;
-  }
-  if (lead->timer != 0) {
-    scheduler_->Cancel(lead->timer);
-  }
-  leaderships_.erase(txn);
+  EndLeadership(txn, commit, commit ? "" : "paxos instances chose abort",
+                out);
 }
 
-void PaxosEngine::DeliverClientResult(TxnId txn, Leadership* lead,
-                                      bool commit, const std::string& reason,
-                                      Outbox* out) {
-  if (lead->timer != 0) {
-    scheduler_->Cancel(lead->timer);
-    lead->timer = 0;
+void PaxosEngine::EndLeadership(TxnId txn, bool commit,
+                                const std::string& reason, Outbox* out) {
+  auto coord = coordinations_.find(txn);
+  if (coord != coordinations_.end()) {
+    AnswerClient(txn, &coord->second,
+                 commit ? TxnDisposition::kCommitted
+                        : TxnDisposition::kAborted,
+                 reason, out);
   }
-  TxnResult r;
-  r.id = txn;
-  Trace(commit ? TraceEventType::kDecisionCommit
-               : TraceEventType::kDecisionAbort,
-        txn);
-  if (commit) {
-    ++metrics_.txns_committed;
-    r.disposition = TxnDisposition::kCommitted;
-    r.output = lead->output;
-  } else {
-    ++metrics_.txns_aborted;
-    r.disposition = TxnDisposition::kAborted;
-    r.abort_reason = reason;
-  }
-  out->thunks.push_back([cb = lead->callback, r] {
-    if (cb) {
-      cb(r);
+  auto lead = leaderships_.find(txn);
+  if (lead != leaderships_.end()) {
+    if (lead->second.timer != 0) {
+      scheduler_->Cancel(lead->second.timer);
     }
-  });
-  leaderships_.erase(txn);  // invalidates lead
+    leaderships_.erase(lead);
+  }
 }
 
 void PaxosEngine::StartRecovery(TxnId txn,
@@ -381,10 +216,8 @@ void PaxosEngine::HandlePhase1b(SiteId from, const Message& msg,
     Trace(TraceEventType::kPaxosDecide, msg.txn, /*flag=*/false,
           lead.ballot);
     BroadcastDecision(msg.txn, false, out);
-    if (lead.timer != 0) {
-      scheduler_->Cancel(lead.timer);
-    }
-    leaderships_.erase(msg.txn);
+    EndLeadership(msg.txn, /*commit=*/false, "paxos instances chose abort",
+                  out);
     return;
   }
   for (SiteId rm : lead.participants) {
@@ -409,16 +242,9 @@ void PaxosEngine::LeaderTimeout(TxnId txn) {
     if (it == leaderships_.end() || decided_.count(txn) > 0) {
       return;  // already settled
     }
-    Leadership& lead = it->second;
-    if (lead.phase == LeaderPhase::kCollecting) {
-      // Compute phase stalled: nobody voted, unilateral abort is safe.
-      AbortBeforeVotes(txn, &lead, "timeout collecting prepare replies",
-                       &out);
-    } else {
-      // Ballot-0 tally or a previous recovery round stalled (lost votes,
-      // dead acceptors): escalate to the next self-owned ballot.
-      StartRecovery(txn, lead.participants, &out);
-    }
+    // The ballot-0 tally or a previous recovery round stalled (lost
+    // votes, dead acceptors): escalate to the next self-owned ballot.
+    StartRecovery(txn, it->second.participants, &out);
   }
   FlushOutbox(&out);
 }

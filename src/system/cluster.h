@@ -25,33 +25,40 @@
 
 namespace polyvalue {
 
+// What every cluster assembly is built from; each one extends it with
+// its own runtime's fields.
+struct ClusterOptions {
+  size_t site_count = 3;
+  EngineConfig engine;
+  uint64_t seed = 42;
+  ItemStore::DefaultFactory default_factory;
+  // Optional protocol trace sink, shared by every site's engine (and the
+  // simulated transport). Null (the default) disables tracing at zero
+  // cost. Under real threads it must be thread-safe (VectorTraceSink and
+  // CountingTraceSink are).
+  TraceSink* trace = nullptr;
+  // When non-empty, site i logs to "<wal_dir>/site<i>.wal" with the
+  // `wal` knobs (group commit etc.); empty disables durability.
+  std::string wal_dir;
+  Wal::Options wal;
+  // Message batching. Off by default. When on, a BatchingTransport
+  // fronts the cluster's transport (see each cluster for how it is
+  // flushed).
+  bool enable_batching = false;
+  BatchingTransport::Options batching;
+  size_t store_shards = ItemStore::kDefaultShards;
+};
+
 class SimCluster {
  public:
-  struct Options {
-    size_t site_count = 3;
-    EngineConfig engine;
-    uint64_t seed = 42;
-    ItemStore::DefaultFactory default_factory;
+  // Batching here uses auto_flush = false, with flush ticks scheduled on
+  // the SIMULATOR clock (`batching.window_seconds` after a link queue
+  // first fills), so runs stay deterministic per seed; with it off the
+  // golden trace and every seeded run keep the unbatched schedule.
+  struct Options : ClusterOptions {
     // Network latency range (seconds).
     double min_delay = 0.001;
     double max_delay = 0.003;
-    // Optional protocol trace sink, shared by every site's engine and
-    // the transport. Null (the default) disables tracing at zero cost.
-    TraceSink* trace = nullptr;
-    // When non-empty, site i logs to "<wal_dir>/site<i>.wal" with the
-    // `wal` knobs below (group commit etc.); empty disables durability,
-    // as before.
-    std::string wal_dir;
-    Wal::Options wal;
-    // Message batching. Off by default — the golden trace and every
-    // seeded run are byte-identical to the unbatched schedule. When on,
-    // a BatchingTransport (auto_flush = false) fronts the SimTransport
-    // and flush ticks are scheduled on the SIMULATOR clock
-    // (`batching.window_seconds` after a link queue first fills), so
-    // runs stay deterministic per seed.
-    bool enable_batching = false;
-    BatchingTransport::Options batching;
-    size_t store_shards = ItemStore::kDefaultShards;
   };
 
   explicit SimCluster(Options options);
@@ -113,28 +120,12 @@ class SimCluster {
 
 class ThreadCluster {
  public:
-  struct Options {
-    size_t site_count = 3;
-    EngineConfig engine;
-    uint64_t seed = 42;
-    ItemStore::DefaultFactory default_factory;
+  // Batching here runs a real flusher thread.
+  struct Options : ClusterOptions {
     FaultPlan* faults = nullptr;  // optional shared fault plan
     // When set, sites use this externally owned transport (e.g. a
     // TcpTransport) instead of an internal MemTransport.
     Transport* transport = nullptr;
-    // Optional protocol trace sink shared by every site's engine. Must
-    // be thread-safe (VectorTraceSink and CountingTraceSink are).
-    TraceSink* trace = nullptr;
-    // When non-empty, site i logs to "<wal_dir>/site<i>.wal" with the
-    // `wal` knobs (so benches can compare per-record fsync vs group
-    // commit); empty disables durability.
-    std::string wal_dir;
-    Wal::Options wal;
-    // Message batching: wraps the transport in a BatchingTransport with
-    // a real flusher thread. Off by default.
-    bool enable_batching = false;
-    BatchingTransport::Options batching;
-    size_t store_shards = ItemStore::kDefaultShards;
   };
 
   explicit ThreadCluster(Options options);

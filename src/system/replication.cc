@@ -1,7 +1,5 @@
 #include "src/system/replication.h"
 
-#include <optional>
-
 #include "src/common/check.h"
 #include "src/common/strings.h"
 
@@ -29,10 +27,6 @@ void ReplicaSet::AddToReadSet(TxnSpec* spec, SiteId preferred) const {
   }
   POLYV_CHECK(member);
   spec->Read(KeyAt(preferred), preferred);
-}
-
-void ReplicaSet::AddToReadSet(TxnSpec* spec) const {
-  AddToReadSet(spec, sites_.front());
 }
 
 TxnSpec ReplicaSet::MakeUpdate(
@@ -73,33 +67,11 @@ TxnSpec ReplicaSet::MakeRead(SiteId preferred) const {
   return spec;
 }
 
-TxnSpec ReplicaSet::MakeRead() const { return MakeRead(sites_.front()); }
-
 void LoadReplicated(SimCluster* cluster, const ReplicaSet& replicas,
                     const Value& value) {
   for (SiteId site : replicas.sites()) {
     cluster->site(site.value() - 1).Load(replicas.KeyAt(site), value);
   }
-}
-
-bool ReplicasConsistent(SimCluster* cluster, const ReplicaSet& replicas) {
-  std::optional<PolyValue> reference;
-  for (SiteId site : replicas.sites()) {
-    Site& s = cluster->site(site.value() - 1);
-    if (s.crashed()) {
-      continue;
-    }
-    const Result<PolyValue> copy = s.Peek(replicas.KeyAt(site));
-    if (!copy.ok()) {
-      return false;
-    }
-    if (!reference.has_value()) {
-      reference = copy.value();
-    } else if (!(*reference == copy.value())) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace polyvalue

@@ -5,8 +5,8 @@
 // packages that view: a ReplicaSet names the per-site copies of one
 // logical item, writes update every copy atomically (they ride one
 // transaction, so the commit protocol keeps the copies identical), and
-// reads consult one designated copy — with a consistency checker for
-// tests and repair tooling.
+// reads consult one designated copy. src/replica/consistency.h checks
+// and repairs the copies.
 //
 // Polyvalues compose transparently: if a failure strands an update, every
 // copy holds the same polyvalue, and outcome propagation reduces them all.
@@ -52,13 +52,6 @@ class ReplicaSet {
   // by the copy at `preferred`.
   TxnSpec MakeRead(SiteId preferred) const;
 
-  // Deprecated first-listed-copy defaults. Hardwiring the first copy
-  // made every read hit one site regardless of where the caller runs;
-  // pass the replica you actually want to serve the read.
-  [[deprecated("pass a preferred site")]] void AddToReadSet(
-      TxnSpec* spec) const;
-  [[deprecated("pass a preferred site")]] TxnSpec MakeRead() const;
-
  private:
   std::string logical_name_;
   std::vector<SiteId> sites_;
@@ -67,10 +60,6 @@ class ReplicaSet {
 // Seeds every copy with `value` (direct load, pre-traffic).
 void LoadReplicated(SimCluster* cluster, const ReplicaSet& replicas,
                     const Value& value);
-
-// True if every *reachable* copy holds the same (poly)value. Copies on
-// crashed sites are skipped (they catch up through recovery).
-bool ReplicasConsistent(SimCluster* cluster, const ReplicaSet& replicas);
 
 }  // namespace polyvalue
 

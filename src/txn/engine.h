@@ -1,12 +1,14 @@
 // The transaction engine: coordinator + participant roles of one site.
 //
-// One TxnEngine instance runs per site. It implements:
+// CommitProtocol is the seam every protocol leg implements, and it owns
+// the compute phase all legs share (lock + read, collect, execute,
+// ship). TxnEngine is the 2PC leg built on it; one instance runs per
+// site. On top of the shared compute phase it implements:
 //
-//   * the coordinator role — drives the two-phase protocol for
-//     transactions submitted at this site: collect reads (compute phase),
-//     execute the (poly)transaction, ship writes, gather READY votes,
-//     decide, distribute COMPLETE/ABORT, answer outcome inquiries
-//     (with presumed-abort for transactions it has no record of);
+//   * the coordinator role — gather READY votes, decide, distribute
+//     COMPLETE/ABORT, answer outcome inquiries (with presumed-abort for
+//     transactions it has no record of), and run single-site
+//     transactions without message rounds;
 //   * the participant role — Figure 1's state machine: idle → compute
 //     (on PREPARE: lock + read) → wait (on WRITE_REQ: vote READY) →
 //     idle, where leaving `wait` happens on COMPLETE, on ABORT, or on
@@ -48,6 +50,8 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "src/common/ids.h"
@@ -181,39 +185,29 @@ struct EngineMetrics {
   void ExportTo(MetricsRegistry* registry, const std::string& prefix) const;
 };
 
-// The commit-protocol seam: everything a Site needs from whichever
-// protocol leg it runs. TxnEngine (2PC + in-doubt policies) and
-// PaxosEngine (src/paxos/) both implement it; Site routes Submit and
-// incoming packets through a CommitProtocol*, so the cluster
-// assemblies, workload generators and benches are leg-agnostic.
+// The commit-protocol seam and the compute phase every leg shares.
+//
+// Site routes Submit and incoming packets through a CommitProtocol*, so
+// the cluster assemblies, workload generators and benches are
+// leg-agnostic. Every leg keeps 2PC's first phase — Gray & Lamport's
+// Paxos Commit changes only how the decision is reached — so this base
+// owns it once: the coordinator fans out PREPARE; each participant
+// locks its share (no-wait or wait-die, per EngineConfig::lock_wait)
+// and replies with the values; the coordinator collects the replies,
+// executes the (poly)transaction after the configured execution_delay
+// and ships each site its writes; a WRITE_REQ ends the participant's
+// compute phase. A leg (TxnEngine below, PaxosEngine in src/paxos/)
+// supplies only its decision half, through the pure-virtual hooks at
+// the end of the class.
 class CommitProtocol {
- public:
-  virtual ~CommitProtocol() = default;
-  // Runs `spec` with this site as coordinator; the callback fires
-  // exactly once (possibly much later, after failures heal).
-  virtual TxnId Submit(TxnSpec spec, TxnCallback callback) = 0;
-  // Transport entry point.
-  virtual void OnMessage(SiteId from, const Message& msg) = 0;
-  // Failure simulation hooks: drop volatile state / restart.
-  virtual void Crash() = 0;
-  virtual void Recover() = 0;
-  virtual EngineMetrics metrics() const = 0;
-  // Durable local decision for `txn`, if this site fixed or learned one.
-  virtual std::optional<bool> DecidedOutcome(TxnId txn) const = 0;
-};
-
-class TxnEngine : public CommitProtocol {
  public:
   // Hands one encoded message to the transport.
   using SendFn = std::function<void(SiteId to, std::string payload)>;
 
-  TxnEngine(SiteId self, ItemStore* items, OutcomeTable* outcomes,
-            Scheduler* scheduler, SendFn send, EngineConfig config);
-  ~TxnEngine() override;
+  virtual ~CommitProtocol() = default;
 
-  // Optional durability: every install / outcome / tracking mutation is
-  // logged. The engine does not own the WAL.
-  void AttachWal(Wal* wal) { wal_ = wal; }
+  CommitProtocol(const CommitProtocol&) = delete;
+  CommitProtocol& operator=(const CommitProtocol&) = delete;
 
   // Optional observability: every lifecycle transition is emitted to
   // `sink` (src/obs/trace.h). Attach before traffic; the engine does not
@@ -229,7 +223,8 @@ class TxnEngine : public CommitProtocol {
 
   // --- transaction ids ---
   // Ids encode their coordinator: id = (site << kSiteShift) | seq, so any
-  // holder of a polyvalue can route an outcome inquiry.
+  // holder of a polyvalue can route an outcome inquiry and ring-order
+  // failover can always locate the initial leader.
   TxnId AllocateTxnId();
   static SiteId CoordinatorOf(TxnId txn);
 
@@ -241,90 +236,78 @@ class TxnEngine : public CommitProtocol {
   // Runs `spec` with this site as coordinator. The callback fires exactly
   // once, possibly synchronously (local-only read) or much later (after
   // failures heal). Pass a pre-allocated id via `txn` to correlate.
-  TxnId Submit(TxnSpec spec, TxnCallback callback) override;
+  TxnId Submit(TxnSpec spec, TxnCallback callback);
   TxnId Submit(TxnSpec spec, TxnCallback callback, TxnId txn);
 
   // --- transport entry point ---
-  void OnMessage(SiteId from, const Message& msg) override;
+  virtual void OnMessage(SiteId from, const Message& msg) = 0;
 
-  // --- failure simulation hooks ---
-  // Drops all volatile state: in-flight coordinations (their clients
-  // never hear back until recovery-time inquiry), participations, locks,
-  // timers. Durable state — items, outcome table, decided outcomes,
-  // prepared writes — survives (it is WAL-backed when a WAL is attached).
-  void Crash() override;
-  // Post-crash restart: re-applies the in-doubt policy to prepared-but-
-  // undecided participations and restarts outcome inquiries.
-  void Recover() override;
+  // --- failure simulation hooks: drop volatile state / restart ---
+  virtual void Crash() = 0;
+  virtual void Recover() = 0;
 
-  // Starts the periodic inquiry loop (idempotent). Called by Recover()
-  // and by the first polyvalue install; exposed for tests.
-  void EnsureInquiryLoop();
+  EngineMetrics metrics() const;
 
-  // §3.4 support: invokes `callback(committed)` once the outcome of
-  // `txn` is known at this site — immediately if already known. This is
-  // the "withhold uncertain outputs until the uncertainty is resolved"
-  // option: callers park an uncertain client answer on the transactions
-  // it depends on. Subscriptions are volatile (lost on Crash).
-  using OutcomeCallback = std::function<void(bool committed)>;
-  void SubscribeOutcome(TxnId txn, OutcomeCallback callback);
+  // Durable local decision for `txn`, if this site fixed or learned one.
+  std::optional<bool> DecidedOutcome(TxnId txn) const;
 
-  EngineMetrics metrics() const override;
+ protected:
+  CommitProtocol(SiteId self, ItemStore* items, Scheduler* scheduler,
+                 SendFn send, EngineConfig config);
 
-  // Durable coordinator decision, if any (tests / audits).
-  std::optional<bool> DecidedOutcome(TxnId txn) const override;
-
-  // Rebuilds durable engine state from replayed WAL records. Call before
-  // any traffic, after store/outcome-table recovery.
-  void RestoreDurableState(const std::vector<WalRecord>& records);
-
-  // Snapshot integration: exports / imports the engine's durable state
-  // (prepared votes + coordinator decisions). Import must precede any
-  // traffic; WAL-tail RestoreDurableState may follow it.
-  void ExportDurableState(SiteSnapshot* snapshot) const;
-  void ImportDurableState(const SiteSnapshot& snapshot);
-
- private:
-  // ---- coordinator state ----
-  enum class CoordPhase { kCollecting, kWaitingReady };
+  // ---- coordinator state: Submit to the client's answer ----
+  enum class CoordPhase {
+    kCollecting,  // PREPAREs out, awaiting PREPARE_REPLYs
+    kDeciding,    // writes shipped; the leg's decision half runs
+  };
   struct Coordination {
     TxnSpec spec;
     CoordPhase phase = CoordPhase::kCollecting;
     std::vector<SiteId> participants;
-    std::set<SiteId> awaiting;
+    std::set<SiteId> awaiting;  // PREPARE_REPLYs (2PC: then READYs)
     std::map<ItemKey, PolyValue> collected;  // reads ∪ previous values
     TxnCallback callback;
     Scheduler::TimerId timer = 0;
     PolyValue output;
-    bool was_polytxn = false;
   };
 
   // ---- participant state (Figure 1; idle = absent) ----
   enum class PartState { kCompute, kWait };
   struct Participation {
-    SiteId coordinator;
+    SiteId coordinator;  // where PREPARE_REPLY goes
     PartState state = PartState::kCompute;
-    std::vector<ItemKey> locked_keys;
-    std::map<ItemKey, PolyValue> pending_writes;
-    Scheduler::TimerId wait_timer = 0;
-    bool blocked = false;  // kBlock policy: held past the timeout
+    bool prepare_replied = false;
+    int attempt = 0;             // Paxos: failover ring position
+    std::vector<SiteId> group;   // Paxos: the RM group PREPARE named
+    // The compute watchdog, then the leg's wait-phase timer.
+    Scheduler::TimerId timer = 0;
     double compute_entered_at = 0;  // phase instrumentation (§2.2)
     double wait_entered_at = 0;
-    // Wait-die parking: keys still queued for, the original PREPARE to
-    // resume with, and whether the PREPARE_REPLY has been sent yet.
+    // Wait-die parking: keys still queued for, and the PREPARE to resume
+    // with (held only while the PREPARE is parked).
     std::set<ItemKey> awaited_keys;
-    Message parked_prepare;
-    bool prepare_replied = false;
+    std::unique_ptr<Message> parked_prepare;
   };
 
-  // Deferred side effects, flushed outside the lock.
+  // A participant's vote: prepared-but-undecided writes (durable by
+  // contract; the 2PC leg mirrors them to its WAL).
+  struct Prepared {
+    SiteId coordinator;
+    std::vector<SiteId> group;  // Paxos: the RM group
+    std::map<ItemKey, PolyValue> writes;
+  };
+
+  // Destination of a broadcast: every site 1..config_.cluster_sites.
+  struct AllSites {};
+  // Deferred side effects, flushed outside the lock. A broadcast is one
+  // entry, encoded once at flush.
   struct Outbox {
-    std::vector<std::pair<SiteId, Message>> sends;
+    std::vector<std::pair<std::variant<SiteId, AllSites>, Message>> sends;
     std::vector<std::function<void()>> thunks;
   };
 
-  // -- coordinator internals (engine_coordinator.cc) --
-  // Every private handler below runs with mu_ held: public entry points
+  // -- the compute phase (compute_phase.cc) --
+  // Every handler below runs with mu_ held: public entry points
   // (OnMessage, Submit, timer callbacks) take the lock once, dispatch,
   // and defer all side effects into the Outbox, flushed after unlock.
   // The locked body of Submit. Every path — crashed coordinator, local
@@ -336,59 +319,46 @@ class TxnEngine : public CommitProtocol {
   // as a kEngine -> kClientWait rank inversion.)
   void SubmitUnderLock(TxnSpec spec, TxnCallback callback, TxnId txn,
                        Outbox* out) EXCLUDES(mu_);
-  // Runs a transaction whose every item lives at this site without any
-  // message rounds. Returns false when the fast path does not apply.
-  bool TryLocalFastPath(TxnId txn, const TxnSpec& spec,
-                        const TxnCallback& callback, Outbox* out)
-      REQUIRES(mu_);
-  void HandlePrepareReply(SiteId from, const Message& msg, Outbox* out)
-      REQUIRES(mu_);
-  void HandleReady(SiteId from, const Message& msg, Outbox* out)
-      REQUIRES(mu_);
-  void ExecuteAndShip(TxnId txn, Coordination* coord, Outbox* out)
-      REQUIRES(mu_);
-  void Decide(TxnId txn, bool commit, const std::string& reason,
-              Outbox* out) REQUIRES(mu_);
-  void HandleOutcomeRequest(SiteId from, const Message& msg, Outbox* out)
-      REQUIRES(mu_);
-  void CoordinatorTimeout(TxnId txn, CoordPhase expected_phase);
-
-  // -- participant internals (engine_participant.cc) --
   void HandlePrepare(SiteId from, const Message& msg, Outbox* out)
       REQUIRES(mu_);
   // Tail of the prepare path once every lock is held: read values,
   // record §3.3 shipping obligations, send PREPARE_REPLY.
-  void FinishPrepareReads(TxnId txn, Participation* part, Outbox* out)
+  void FinishPrepareReads(TxnId txn, Participation* part,
+                          const Message& prepare, Outbox* out)
       REQUIRES(mu_);
-  // Releases txn's locks, waking and resuming parked prepares that the
-  // freed items were granted to.
+  // Cancels txn's queued lock waits and releases its locks, resuming
+  // parked prepares that the freed items were granted to.
   void ReleaseLocks(TxnId txn, Outbox* out) REQUIRES(mu_);
+  // compute -> idle: nothing was promised, so the participation is
+  // discarded unilaterally (Fig. 1's compute -> idle edge).
+  void DiscardCompute(TxnId txn, Outbox* out) REQUIRES(mu_);
+  void ComputeWatchdog(TxnId txn);
+  void HandlePrepareReply(SiteId from, const Message& msg, Outbox* out)
+      REQUIRES(mu_);
+  void CollectTimeout(TxnId txn);
+  void ExecuteAndShip(TxnId txn, Coordination* coord, Outbox* out)
+      REQUIRES(mu_);
+  // No participant has voted yet (votes only follow WRITE_REQ), so the
+  // coordinator aborts unilaterally.
+  void AbortComputePhase(TxnId txn, Coordination* coord,
+                         const std::string& reason, Outbox* out)
+      REQUIRES(mu_);
+  // Reports `disposition` to the client and retires the coordination.
+  void AnswerClient(TxnId txn, Coordination* coord,
+                    TxnDisposition disposition, const std::string& reason,
+                    Outbox* out) REQUIRES(mu_);
   void HandleWriteReq(SiteId from, const Message& msg, Outbox* out)
       REQUIRES(mu_);
-  void HandleComplete(const Message& msg, Outbox* out) REQUIRES(mu_);
-  void HandleAbort(const Message& msg, Outbox* out) REQUIRES(mu_);
-  void WaitTimeout(TxnId txn);
-  void ApplyInDoubtPolicy(TxnId txn, Participation* part, Outbox* out)
+  // The wait (in-doubt) phase ends here: accounts its duration once.
+  void EndWaitPhase(Participation* part) REQUIRES(mu_);
+  // After a restart: the wait-phase participation of a prepared-but-
+  // undecided txn, with the write locks the crash released re-acquired.
+  Participation RelockPrepared(TxnId txn, const Prepared& prepared)
       REQUIRES(mu_);
-  void FinishParticipation(TxnId txn, Participation* part, bool commit,
-                           Outbox* out) REQUIRES(mu_);
-
-  // -- shared internals (engine_common.cc) --
-  // Installs `value` for `key`, maintaining dependency tracking and WAL.
-  void InstallValue(const ItemKey& key, const PolyValue& raw_value)
-      REQUIRES(mu_);
-  void HandleLearnedOutcome(TxnId txn, bool committed, Outbox* out)
-      REQUIRES(mu_);
-  void HandleOutcomeReply(const Message& msg, Outbox* out) REQUIRES(mu_);
-  void HandleOutcomeNotify(SiteId from, const Message& msg, Outbox* out)
-      REQUIRES(mu_);
-  void InquiryTick();
-  void MarkPreparedDurable(TxnId txn, SiteId coordinator,
-                           const std::map<ItemKey, PolyValue>& writes)
-      REQUIRES(mu_);
-  void ClearPreparedDurable(TxnId txn) REQUIRES(mu_);
-  void RecordDecisionDurable(TxnId txn, bool commit) REQUIRES(mu_);
-  void Wal_(const WalRecord& record) REQUIRES(mu_);
+  // Crash: drops every coordination (its client never hears back —
+  // exactly the real failure mode) and participation (timers, queued
+  // waits, locks).
+  void DropComputeState() REQUIRES(mu_);
   void FlushOutbox(Outbox* out) EXCLUDES(mu_);
 
   // Schedules `fn` after `delay`, guarded so the callback is a no-op once
@@ -412,6 +382,21 @@ class TxnEngine : public CommitProtocol {
     event.arg = arg;
     trace_->Emit(event);
   }
+  void Trace(TraceEventType type, TxnId txn, SiteId peer, bool flag,
+             uint64_t arg) REQUIRES(mu_) {
+    if (trace_ == nullptr) {
+      return;
+    }
+    TraceEvent event;
+    event.time = scheduler_->Now();
+    event.type = type;
+    event.site = self_;
+    event.txn = txn;
+    event.peer = peer;
+    event.flag = flag;
+    event.arg = arg;
+    trace_->Emit(event);
+  }
   void TraceKey(TraceEventType type, TxnId txn, const ItemKey& key,
                 bool flag = false) REQUIRES(mu_) {
     if (trace_ == nullptr) {
@@ -427,14 +412,43 @@ class TxnEngine : public CommitProtocol {
     trace_->Emit(event);
   }
 
+  // ---- the decision half: each leg's hooks (all run under mu_) ----
+  // Runs a transaction whose every item lives at this site without any
+  // message rounds; false when the leg has no such path or it fails to
+  // apply.
+  virtual bool TryLocalFastPath(TxnId txn, const TxnSpec& spec,
+                                const TxnCallback& callback, Outbox* out)
+      REQUIRES(mu_) = 0;
+  // Adds what the leg's PREPARE carries beyond the keys.
+  virtual void FillPrepare(const Coordination& coord, Message* prepare)
+      REQUIRES(mu_) = 0;
+  // Records the obligation of shipping `value` to site `to` (§3.3:
+  // forward the outcomes it depends on).
+  virtual void TrackShipped(const PolyValue& value, SiteId to)
+      REQUIRES(mu_) = 0;
+  // Ends a transaction that commits nothing — read-only, or aborted in
+  // the compute phase — at every participant.
+  virtual void ReleaseParticipants(TxnId txn,
+                                   const std::vector<SiteId>& participants,
+                                   Outbox* out) REQUIRES(mu_) = 0;
+  // The writes are shipped: start collecting the participants' votes.
+  virtual void AwaitVotes(TxnId txn, Coordination* coord, Outbox* out)
+      REQUIRES(mu_) = 0;
+  // A WRITE_REQ from `from` ended `part`'s compute phase: vote on
+  // `writes`, durably, and arm the wait-phase timer.
+  virtual void Vote(TxnId txn, SiteId from, Participation* part,
+                    const std::map<ItemKey, PolyValue>& writes, Outbox* out)
+      REQUIRES(mu_) = 0;
+
   static constexpr int kSiteShift = kTxnSiteShift;
 
   const SiteId self_;
   ItemStore* const items_;
-  OutcomeTable* const outcomes_;
   Scheduler* const scheduler_;
   const SendFn send_;
   const EngineConfig config_;
+  // Optional durability log; FlushOutbox makes it durable before any
+  // side effect leaves. Only the 2PC leg logs (TxnEngine::AttachWal).
   Wal* wal_ = nullptr;
   TraceSink* trace_ GUARDED_BY(mu_) = nullptr;
 
@@ -445,26 +459,122 @@ class TxnEngine : public CommitProtocol {
   std::atomic<uint64_t> next_seq_{1};
   std::map<TxnId, Coordination> coordinations_ GUARDED_BY(mu_);
   std::map<TxnId, Participation> participations_ GUARDED_BY(mu_);
-
-  // Durable-by-contract (survives Crash; mirrored to WAL when attached):
-  // coordinator decisions...
-  std::map<TxnId, bool> decided_ GUARDED_BY(mu_);
-  // ...and participant prepared-but-undecided writes.
-  struct Prepared {
-    SiteId coordinator;
-    std::map<ItemKey, PolyValue> writes;
-  };
+  // Durable-by-contract (survive Crash): the votes, and the outcomes
+  // this site fixed or learned (2PC: its coordinator decisions). Hashed,
+  // since decided_ never shrinks.
   std::map<TxnId, Prepared> prepared_ GUARDED_BY(mu_);
+  std::unordered_map<TxnId, bool> decided_ GUARDED_BY(mu_);
 
-  std::map<TxnId, std::vector<OutcomeCallback>> outcome_subscribers_
-      GUARDED_BY(mu_);
-
-  bool inquiry_loop_running_ GUARDED_BY(mu_) = false;
   bool crashed_ GUARDED_BY(mu_) = false;
   EngineMetrics metrics_ GUARDED_BY(mu_);
-  // Liveness token shared with scheduled callbacks; flipped false on
-  // destruction so stale timers cannot touch a dead engine.
+  // Liveness token shared with scheduled callbacks; each leg's
+  // destructor flips it false first, so stale timers cannot touch a dead
+  // engine.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+};
+
+// The 2PC leg: coordinator-driven two-phase commit plus the in-doubt
+// policies above.
+class TxnEngine : public CommitProtocol {
+ public:
+  TxnEngine(SiteId self, ItemStore* items, OutcomeTable* outcomes,
+            Scheduler* scheduler, SendFn send, EngineConfig config);
+  ~TxnEngine() override;
+
+  // Optional durability: every install / outcome / tracking mutation is
+  // logged. The engine does not own the WAL.
+  void AttachWal(Wal* wal) { wal_ = wal; }
+
+  void OnMessage(SiteId from, const Message& msg) override;
+
+  // Drops all volatile state: in-flight coordinations (their clients
+  // never hear back until recovery-time inquiry), participations, locks,
+  // timers. Durable state — items, outcome table, decided outcomes,
+  // prepared writes — survives (it is WAL-backed when a WAL is attached).
+  void Crash() override;
+  // Post-crash restart: re-applies the in-doubt policy to prepared-but-
+  // undecided participations and restarts outcome inquiries.
+  void Recover() override;
+
+  // Starts the periodic inquiry loop (idempotent). Called by Recover()
+  // and by the first polyvalue install; exposed for tests.
+  void EnsureInquiryLoop();
+
+  // §3.4 support: invokes `callback(committed)` once the outcome of
+  // `txn` is known at this site — immediately if already known. This is
+  // the "withhold uncertain outputs until the uncertainty is resolved"
+  // option: callers park an uncertain client answer on the transactions
+  // it depends on. Subscriptions are volatile (lost on Crash).
+  using OutcomeCallback = std::function<void(bool committed)>;
+  void SubscribeOutcome(TxnId txn, OutcomeCallback callback);
+
+  // Rebuilds durable engine state from replayed WAL records. Call before
+  // any traffic, after store/outcome-table recovery.
+  void RestoreDurableState(const std::vector<WalRecord>& records);
+
+  // Snapshot integration: exports / imports the engine's durable state
+  // (prepared votes + coordinator decisions). Import must precede any
+  // traffic; WAL-tail RestoreDurableState may follow it.
+  void ExportDurableState(SiteSnapshot* snapshot) const;
+  void ImportDurableState(const SiteSnapshot& snapshot);
+
+ private:
+  // -- decision half, coordinator side (engine_coordinator.cc) --
+  bool TryLocalFastPath(TxnId txn, const TxnSpec& spec,
+                        const TxnCallback& callback, Outbox* out) override
+      REQUIRES(mu_);
+  void FillPrepare(const Coordination& coord, Message* prepare) override
+      REQUIRES(mu_);
+  void ReleaseParticipants(TxnId txn, const std::vector<SiteId>& participants,
+                           Outbox* out) override REQUIRES(mu_);
+  void AwaitVotes(TxnId txn, Coordination* coord, Outbox* out) override
+      REQUIRES(mu_);
+  void HandleReady(SiteId from, const Message& msg, Outbox* out)
+      REQUIRES(mu_);
+  void ReadyTimeout(TxnId txn);
+  // Fixes the outcome of a transaction whose writes were shipped.
+  void Decide(TxnId txn, bool commit, const std::string& reason,
+              Outbox* out) REQUIRES(mu_);
+  void HandleOutcomeRequest(SiteId from, const Message& msg, Outbox* out)
+      REQUIRES(mu_);
+
+  // -- decision half, participant side (engine_participant.cc) --
+  void Vote(TxnId txn, SiteId from, Participation* part,
+            const std::map<ItemKey, PolyValue>& writes, Outbox* out) override
+      REQUIRES(mu_);
+  void HandleComplete(const Message& msg, Outbox* out) REQUIRES(mu_);
+  void HandleAbort(const Message& msg, Outbox* out) REQUIRES(mu_);
+  void WaitTimeout(TxnId txn);
+  void ApplyInDoubtPolicy(TxnId txn, Participation* part, Outbox* out)
+      REQUIRES(mu_);
+  void FinishParticipation(TxnId txn, Participation* part, bool commit,
+                           Outbox* out) REQUIRES(mu_);
+
+  // -- shared internals (engine_common.cc) --
+  void TrackShipped(const PolyValue& value, SiteId to) override
+      REQUIRES(mu_);
+  // Installs `value` for `key`, maintaining dependency tracking and WAL.
+  void InstallValue(const ItemKey& key, const PolyValue& raw_value)
+      REQUIRES(mu_);
+  void HandleLearnedOutcome(TxnId txn, bool committed, Outbox* out)
+      REQUIRES(mu_);
+  void HandleOutcomeReply(const Message& msg, Outbox* out) REQUIRES(mu_);
+  void HandleOutcomeNotify(SiteId from, const Message& msg, Outbox* out)
+      REQUIRES(mu_);
+  void InquiryTick();
+  void MarkPreparedDurable(TxnId txn, SiteId coordinator,
+                           const std::map<ItemKey, PolyValue>& writes)
+      REQUIRES(mu_);
+  void ClearPreparedDurable(TxnId txn) REQUIRES(mu_);
+  void RecordDecisionDurable(TxnId txn, bool commit) REQUIRES(mu_);
+  void Wal_(const WalRecord& record) REQUIRES(mu_);
+
+  OutcomeTable* const outcomes_;
+  // kBlock policy: wait-phase participations held past the timeout.
+  std::set<TxnId> blocked_ GUARDED_BY(mu_);
+  std::map<TxnId, std::vector<OutcomeCallback>> outcome_subscribers_
+      GUARDED_BY(mu_);
+  bool inquiry_loop_running_ GUARDED_BY(mu_) = false;
 };
 
 }  // namespace polyvalue

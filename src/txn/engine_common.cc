@@ -95,44 +95,10 @@ void EngineMetrics::ExportTo(MetricsRegistry* registry,
 
 TxnEngine::TxnEngine(SiteId self, ItemStore* items, OutcomeTable* outcomes,
                      Scheduler* scheduler, SendFn send, EngineConfig config)
-    : self_(self),
-      items_(items),
-      outcomes_(outcomes),
-      scheduler_(scheduler),
-      send_(std::move(send)),
-      config_(config) {
-  POLYV_CHECK(self.valid());
-  POLYV_CHECK_LT(self.value(), 1ULL << (64 - kSiteShift));
-}
+    : CommitProtocol(self, items, scheduler, std::move(send), config),
+      outcomes_(outcomes) {}
 
 TxnEngine::~TxnEngine() { *alive_ = false; }
-
-Scheduler::TimerId TxnEngine::ScheduleGuarded(double delay,
-                                              std::function<void()> fn) {
-  return scheduler_->ScheduleAfter(
-      delay, [alive = alive_, fn = std::move(fn)] {
-        if (*alive) {
-          fn();
-        }
-      });
-}
-
-TxnId TxnEngine::AllocateTxnId() {
-  const uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  return TxnId((self_.value() << kSiteShift) | seq);
-}
-
-void TxnEngine::RaiseSeqFloor(uint64_t max_seq) {
-  uint64_t cur = next_seq_.load(std::memory_order_relaxed);
-  while (max_seq >= cur &&
-         !next_seq_.compare_exchange_weak(cur, max_seq + 1,
-                                          std::memory_order_relaxed)) {
-  }
-}
-
-SiteId TxnEngine::CoordinatorOf(TxnId txn) {
-  return SiteId(txn.value() >> kSiteShift);
-}
 
 void TxnEngine::OnMessage(SiteId from, const Message& msg) {
   Outbox out;
@@ -187,37 +153,24 @@ void TxnEngine::OnMessage(SiteId from, const Message& msg) {
   FlushOutbox(&out);
 }
 
-void TxnEngine::FlushOutbox(Outbox* out) {
-  // Durability barrier: nothing externally visible — no message, no
-  // client callback — leaves this engine until every WAL record logged
-  // so far is as durable as the sync policy promises. The records
-  // appended during the locked section (and by concurrent transactions)
-  // leave in one physical write, performed here, outside the engine
-  // lock: one fflush under kFlushOnly, one batch frame + fsync under
-  // group commit. Only kEveryAppend, which syncs each append, makes it
-  // a no-op.
-  if (wal_ != nullptr && !(out->sends.empty() && out->thunks.empty())) {
-    const Status s = wal_->Flush();
-    if (!s.ok()) {
-      POLYV_ERROR << self_ << " WAL flush failed: " << s;
-    }
-  }
-  for (auto& [to, msg] : out->sends) {
-    send_(to, msg.Encode());
-  }
-  for (auto& thunk : out->thunks) {
-    thunk();
-  }
-  out->sends.clear();
-  out->thunks.clear();
-}
-
 void TxnEngine::Wal_(const WalRecord& record) {
   if (wal_ != nullptr) {
     const Status s = wal_->Append(record);
     if (!s.ok()) {
       POLYV_ERROR << self_ << " WAL append failed: " << s;
     }
+  }
+}
+
+// Shipping a polyvalue to another site obliges this one to forward the
+// outcomes it depends on (§3.3).
+void TxnEngine::TrackShipped(const PolyValue& value, SiteId to) {
+  if (to == self_) {
+    return;
+  }
+  for (TxnId dep : value.Dependencies()) {
+    outcomes_->RecordDownstreamSite(dep, to);
+    Wal_(WalRecord::TrackSite(dep, to));
   }
 }
 
@@ -355,11 +308,7 @@ void TxnEngine::InquiryTick() {
     std::vector<TxnId> unknown = outcomes_->UnknownTransactions();
     // Blocked participations also need their outcome even when no local
     // polyvalue records the dependency.
-    for (const auto& [txn, part] : participations_) {
-      if (part.state == PartState::kWait && part.blocked) {
-        unknown.push_back(txn);
-      }
-    }
+    unknown.insert(unknown.end(), blocked_.begin(), blocked_.end());
     if (unknown.empty()) {
       inquiry_loop_running_ = false;
       return;
@@ -405,7 +354,7 @@ void TxnEngine::EnsureInquiryLoop() {
 void TxnEngine::MarkPreparedDurable(
     TxnId txn, SiteId coordinator,
     const std::map<ItemKey, PolyValue>& writes) {
-  prepared_[txn] = Prepared{coordinator, writes};
+  prepared_[txn] = Prepared{coordinator, {}, writes};
   Wal_(WalRecord::Prepared(txn, coordinator, writes));
 }
 
@@ -420,30 +369,13 @@ void TxnEngine::RecordDecisionDurable(TxnId txn, bool commit) {
 }
 
 void TxnEngine::Crash() {
-  std::vector<TxnCallback> orphaned;
-  {
-    MutexLock lock(&mu_);
-    Trace(TraceEventType::kCrash, TxnId());
-    crashed_ = true;
-    for (auto& [txn, coord] : coordinations_) {
-      if (coord.timer != 0) {
-        scheduler_->Cancel(coord.timer);
-      }
-      // In-flight clients never hear back — exactly the real failure mode.
-      (void)orphaned;
-    }
-    coordinations_.clear();
-    for (auto& [txn, part] : participations_) {
-      if (part.wait_timer != 0) {
-        scheduler_->Cancel(part.wait_timer);
-      }
-      items_->CancelWaits(txn);
-      (void)items_->UnlockAll(txn);
-    }
-    participations_.clear();
-    outcome_subscribers_.clear();  // volatile, like in-flight clients
-    inquiry_loop_running_ = false;
-  }
+  MutexLock lock(&mu_);
+  Trace(TraceEventType::kCrash, TxnId());
+  crashed_ = true;
+  DropComputeState();
+  blocked_.clear();
+  outcome_subscribers_.clear();  // volatile, like in-flight clients
+  inquiry_loop_running_ = false;
 }
 
 void TxnEngine::Recover() {
@@ -459,26 +391,11 @@ void TxnEngine::Recover() {
       pending.push_back(txn);
     }
     for (TxnId txn : pending) {
-      const Prepared& prepared = prepared_.at(txn);
       // If we already learned the outcome (e.g. via WAL outcome records),
       // finish directly.
       const std::optional<bool> known = outcomes_->KnownOutcome(txn);
-      Participation part;
-      part.coordinator = prepared.coordinator;
-      part.state = PartState::kWait;
-      part.pending_writes = prepared.writes;
-      // Re-acquire the write locks the crash released: a blocked (kBlock)
-      // participation that resolves to COMMIT later will install its
-      // prepared writes, and without the locks an interleaved transaction
-      // could be silently overwritten (lost update). Immediately after
-      // recovery nothing else can hold these locks.
-      for (const auto& [key, value] : prepared.writes) {
-        const Status locked = items_->Lock(key, txn);
-        POLYV_CHECK_MSG(locked.ok(), "post-recovery relock failed for '"
-                                         << key << "': " << locked);
-        part.locked_keys.push_back(key);
-      }
-      auto [it, inserted] = participations_.emplace(txn, std::move(part));
+      auto [it, inserted] = participations_.emplace(
+          txn, RelockPrepared(txn, prepared_.at(txn)));
       POLYV_CHECK(inserted);
       if (known.has_value()) {
         FinishParticipation(txn, &it->second, *known, &out);
@@ -504,7 +421,7 @@ void TxnEngine::RestoreDurableState(const std::vector<WalRecord>& records) {
         }
         break;
       case WalRecordType::kPrepared:
-        prepared_[record.txn] = Prepared{record.site, record.writes};
+        prepared_[record.txn] = Prepared{record.site, {}, record.writes};
         break;
       case WalRecordType::kPreparedResolved:
         prepared_.erase(record.txn);
@@ -549,13 +466,14 @@ void TxnEngine::ExportDurableState(SiteSnapshot* snapshot) const {
     snapshot->prepared.push_back(
         {txn, prepared.coordinator, prepared.writes});
   }
-  snapshot->decided = decided_;
+  snapshot->decided =
+      std::map<TxnId, bool>(decided_.begin(), decided_.end());
 }
 
 void TxnEngine::ImportDurableState(const SiteSnapshot& snapshot) {
   MutexLock lock(&mu_);
   for (const SiteSnapshot::PreparedTxn& p : snapshot.prepared) {
-    prepared_[p.txn] = Prepared{p.coordinator, p.writes};
+    prepared_[p.txn] = Prepared{p.coordinator, {}, p.writes};
   }
   uint64_t max_seq = 0;
   for (const auto& [txn, committed] : snapshot.decided) {
@@ -566,20 +484,6 @@ void TxnEngine::ImportDurableState(const SiteSnapshot& snapshot) {
     }
   }
   RaiseSeqFloor(max_seq);
-}
-
-EngineMetrics TxnEngine::metrics() const {
-  MutexLock lock(&mu_);
-  return metrics_;
-}
-
-std::optional<bool> TxnEngine::DecidedOutcome(TxnId txn) const {
-  MutexLock lock(&mu_);
-  auto it = decided_.find(txn);
-  if (it == decided_.end()) {
-    return std::nullopt;
-  }
-  return it->second;
 }
 
 }  // namespace polyvalue

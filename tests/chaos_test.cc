@@ -23,13 +23,24 @@
 namespace polyvalue {
 namespace {
 
+// gtest prints a parameter that has no PrintTo as its raw bytes, and
+// those bytes are part of every Schedules/ChaosTest.* ctest name. The
+// struct therefore has no padding (asserted below): padding bytes are
+// indeterminate, so they made the names differ between builds of one
+// tree.
 struct ChaosParams {
   uint64_t seed;
-  InDoubtPolicy policy;
   double drop_probability;
+  InDoubtPolicy policy;
   LockWaitPolicy lock_wait = LockWaitPolicy::kNoWait;
   ProtocolLeg leg = ProtocolLeg::kTwoPhase;
+  int32_t accounts_per_site = 6;
 };
+static_assert(sizeof(ChaosParams) ==
+                  sizeof(uint64_t) + sizeof(double) + sizeof(InDoubtPolicy) +
+                      sizeof(LockWaitPolicy) + sizeof(ProtocolLeg) +
+                      sizeof(int32_t),
+              "ChaosParams must have no padding");
 
 class ChaosTest : public ::testing::TestWithParam<ChaosParams> {};
 
@@ -53,7 +64,7 @@ TEST_P(ChaosTest, InvariantsHoldThroughRandomFailures) {
   options.max_delay = 0.02;
   SimCluster cluster(options);
 
-  constexpr int kAccountsPerSite = 6;
+  const int kAccountsPerSite = params.accounts_per_site;
   constexpr int64_t kInitial = 500;
   for (size_t s = 0; s < 4; ++s) {
     for (int a = 0; a < kAccountsPerSite; ++a) {
@@ -190,7 +201,7 @@ TEST_P(ChaosTest, InvariantsHoldThroughRandomFailures) {
 // crash/recovery schedules exercise leader crashes mid-Phase2a,
 // acceptor minority loss (one of four acceptors down still leaves the
 // 3-site majority), and vote/decision drops. Seeds are distinct across
-// the whole grid, so the auditor sees 33 different randomized failure
+// the whole grid, so the auditor sees 36 different randomized failure
 // schedules.
 std::vector<ChaosParams> ChaosGrid() {
   std::vector<ChaosParams> grid;
@@ -200,21 +211,34 @@ std::vector<ChaosParams> ChaosGrid() {
     for (LockWaitPolicy lock_wait :
          {LockWaitPolicy::kNoWait, LockWaitPolicy::kWaitDie}) {
       for (double drop : {0.0, 0.02, 0.05}) {
-        grid.push_back(ChaosParams{seed++, policy, drop, lock_wait});
+        grid.push_back({.seed = seed++,
+                        .drop_probability = drop,
+                        .policy = policy,
+                        .lock_wait = lock_wait});
       }
     }
   }
   while (seed <= 24) {
-    grid.push_back(ChaosParams{seed, InDoubtPolicy::kPolyvalue, 0.03,
-                               seed % 2 == 0 ? LockWaitPolicy::kWaitDie
-                                             : LockWaitPolicy::kNoWait});
+    grid.push_back({.seed = seed,
+                    .drop_probability = 0.03,
+                    .policy = InDoubtPolicy::kPolyvalue,
+                    .lock_wait = seed % 2 == 0 ? LockWaitPolicy::kWaitDie
+                                               : LockWaitPolicy::kNoWait});
     ++seed;
   }
-  for (double drop : {0.0, 0.02, 0.05}) {
-    for (int i = 0; i < 3; ++i) {
-      grid.push_back(ChaosParams{seed++, InDoubtPolicy::kPolyvalue, drop,
-                                 LockWaitPolicy::kNoWait,
-                                 ProtocolLeg::kPaxosCommit});
+  for (LockWaitPolicy lock_wait :
+       {LockWaitPolicy::kNoWait, LockWaitPolicy::kWaitDie}) {
+    // No-wait: three seeds per drop rate. Wait-die (the Paxos leg shares
+    // the 2PC compute phase, queues included): one seed per drop rate.
+    const int per_drop = lock_wait == LockWaitPolicy::kNoWait ? 3 : 1;
+    for (double drop : {0.0, 0.02, 0.05}) {
+      for (int i = 0; i < per_drop; ++i) {
+        grid.push_back({.seed = seed++,
+                        .drop_probability = drop,
+                        .policy = InDoubtPolicy::kPolyvalue,
+                        .lock_wait = lock_wait,
+                        .leg = ProtocolLeg::kPaxosCommit});
+      }
     }
   }
   return grid;

@@ -1,6 +1,7 @@
 // Tests for wait-die lock queuing (LockWaitPolicy::kWaitDie).
 #include <gtest/gtest.h>
 
+#include "src/obs/audit.h"
 #include "src/store/item_store.h"
 #include "src/system/cluster.h"
 
@@ -231,6 +232,68 @@ TEST(WaitDieEngineTest, ChaosStyleContentionConserves) {
   EXPECT_EQ(total, 300);
   EXPECT_EQ(cluster.site(1).store().locked_count(), 0u);
   EXPECT_GT(cluster.TotalMetrics().lock_waits, 0u);
+}
+
+// The Paxos Commit leg shares the 2PC compute phase, lock discipline
+// included: under wait-die its contended PREPAREs queue and resume too.
+TEST(WaitDieEngineTest, PaxosLegQueuesResumesAndConserves) {
+  VectorTraceSink trace;
+  SimCluster::Options options = WaitDieOptions();
+  options.site_count = 3;
+  options.trace = &trace;
+  options.engine.leg = ProtocolLeg::kPaxosCommit;
+  options.engine.execution_delay = 0.1;  // long holds: heavy contention
+  SimCluster cluster(options);
+  for (int a = 0; a < 3; ++a) {
+    cluster.Load(1, "acct" + std::to_string(a), Value::Int(100));
+  }
+  Rng rng(43);
+  int completed = 0;
+  std::function<void()> pump = [&] {
+    if (cluster.sim().now() > 15.0) {
+      return;
+    }
+    cluster.sim().After(rng.NextExponential(1.0 / 40.0), [&] {
+      pump();
+      const int from = rng.NextBelow(3);
+      int to = rng.NextBelow(3);
+      if (to == from) {
+        to = (to + 1) % 3;
+      }
+      TxnSpec spec;
+      const ItemKey from_key = "acct" + std::to_string(from);
+      const ItemKey to_key = "acct" + std::to_string(to);
+      spec.ReadWrite(from_key, cluster.site_id(1));
+      spec.ReadWrite(to_key, cluster.site_id(1));
+      spec.Logic([from_key, to_key](const TxnReads& reads) {
+        TxnEffect e;
+        e.writes[from_key] = Value::Int(reads.IntAt(from_key) - 1);
+        e.writes[to_key] = Value::Int(reads.IntAt(to_key) + 1);
+        return e;
+      });
+      cluster.Submit(rng.NextBelow(3), std::move(spec),
+                     [&completed](const TxnResult&) { ++completed; });
+    });
+  };
+  pump();
+  cluster.RunFor(30.0);
+  EXPECT_GT(completed, 100);
+  const EngineMetrics m = cluster.TotalMetrics();
+  EXPECT_GT(m.lock_waits, 0u);
+  EXPECT_GT(m.lock_wait_resumes, 0u);
+  int64_t total = 0;
+  for (int a = 0; a < 3; ++a) {
+    const PolyValue v =
+        cluster.site(1).Peek("acct" + std::to_string(a)).value();
+    ASSERT_TRUE(v.is_certain());
+    total += v.certain_value().int_value();
+  }
+  EXPECT_EQ(total, 300);
+  for (size_t i = 0; i < cluster.size(); ++i) {
+    EXPECT_EQ(cluster.site(i).store().locked_count(), 0u) << "site " << i;
+  }
+  const Status audit = TraceAuditor::Check(trace.Snapshot());
+  EXPECT_TRUE(audit.ok()) << audit.message();
 }
 
 }  // namespace

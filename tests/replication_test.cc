@@ -48,7 +48,7 @@ TEST(ReplicationTest, UpdateWritesAllCopies) {
               Value::Int(5))
         << site;
   }
-  EXPECT_TRUE(ReplicasConsistent(&cluster, replicas));
+  EXPECT_TRUE(CheckReplicaSet(&cluster, replicas).consistent());
 }
 
 TEST(ReplicationTest, ReadReturnsLogicalValue) {
@@ -72,7 +72,7 @@ TEST(ReplicationTest, UpdateAbortsCleanlyOnLogicFailure) {
   ASSERT_TRUE(result.has_value());
   EXPECT_FALSE(result->committed());
   cluster.RunFor(0.5);
-  EXPECT_TRUE(ReplicasConsistent(&cluster, replicas));
+  EXPECT_TRUE(CheckReplicaSet(&cluster, replicas).consistent());
 }
 
 TEST(ReplicationTest, StrandedUpdateLeavesIdenticalPolyvaluesEverywhere) {
@@ -101,7 +101,7 @@ TEST(ReplicationTest, StrandedUpdateLeavesIdenticalPolyvaluesEverywhere) {
   // Recovery: every copy resolves to the same certain value.
   cluster.RecoverSite(0);
   cluster.RunFor(3.0);
-  EXPECT_TRUE(ReplicasConsistent(&cluster, replicas));
+  EXPECT_TRUE(CheckReplicaSet(&cluster, replicas).consistent());
   EXPECT_EQ(cluster.site(1)
                 .Peek(replicas.KeyAt(SiteId(2)))
                 .value()

@@ -323,7 +323,12 @@ class ClassTracker:
 
 
 def parse_functions(src):
-    """Extracts function definitions (with class context) from a file."""
+    """Extracts function definitions (with class context) from a file.
+    Memoized on the SourceFile: several rules walk the same classes (an
+    engine leg and its bases), and callers only read the result."""
+    cached = src.__dict__.get("_functions")
+    if cached is not None:
+        return cached
     tracker = ClassTracker(src.clean)
     functions = []
     for m in FUNC_RE.finditer(src.clean):
@@ -350,6 +355,7 @@ def parse_functions(src):
                 annotations=m.group("post") or "",
             )
         )
+    src.__dict__["_functions"] = functions
     return functions
 
 

@@ -24,7 +24,8 @@ a regex; the deeper layer above tools/polylint.py:
         polylint's include-only LAY01.
 
   TR01  Every commit-engine message handler (TxnEngine::Handle* /
-        PaxosEngine::Handle* taking a Message, per ENGINE_SCOPES)
+        PaxosEngine::Handle* taking a Message, including those each
+        inherits from its CommitProtocol base, per ENGINE_SCOPES)
         emits a trace event on every return path — directly
         via Trace()/TraceKey() or by unconditionally calling another
         all-paths-emitting engine method. Closes the loop with the
@@ -502,8 +503,10 @@ def gather_functions(sources):
 def build_call_graph(functions, member_types, primitive_check=None):
     """Conservative static call graph, shared by CG01 and HP01.
 
-    Edges are resolved conservatively: same-class members, receiver
-    types known from the member index, then tree-wide unique names.
+    Edges are resolved conservatively: same-class members (for an engine
+    leg, members it inherits from its ENGINE_BASES; from a base's own
+    code, also every leg's override — virtual dispatch), receiver types
+    known from the member index, then tree-wide unique names.
     Unresolvable calls (std::function indirection, overloaded names
     with unknown receivers) produce no edge — reachability
     under-approximates so that every report is a real static chain.
@@ -532,16 +535,36 @@ def build_call_graph(functions, member_types, primitive_check=None):
                 if verdict == "skip":
                     continue
             if recv and op:
-                recv_type = member_types.get(fn.cls, {}).get(recv)
+                recv_type = next(
+                    (member_types[c][recv]
+                     for c in (fn.cls,) + ENGINE_BASES.get(fn.cls, ())
+                     if recv in member_types.get(c, {})), None)
                 if recv_type and (recv_type, name) in by_key:
                     callees.add((recv_type, name))
                 continue
-            if (fn.cls, name) in by_key and fn.cls:
-                callees.add((fn.cls, name))
+            members = _member_targets(fn.cls, name, by_key)
+            if members:
+                callees.update(members)
             elif len(by_name.get(name, [])) == 1:
                 target = by_name[name][0]
                 callees.add(fkey(target))
     return by_key, by_name, calls, taint
+
+
+def _member_targets(cls, name, by_key):
+    """Keys an unqualified call to `name` inside class `cls` can reach:
+    the class's own definition or, for an engine leg, the one it
+    inherits; from an engine base, also each leg's override."""
+    if not cls:
+        return []
+    if (cls, name) in by_key:
+        targets = [(cls, name)]
+    else:
+        targets = [(b, name) for b in ENGINE_BASES.get(cls, ())
+                   if (b, name) in by_key][:1]
+    targets += [(leg, name) for leg, bases in ENGINE_BASES.items()
+                if cls in bases and (leg, name) in by_key]
+    return targets
 
 
 def check_cg01(root, sources):
@@ -601,12 +624,19 @@ def check_cg01(root, sources):
 # must trace every return path. New legs register here. `handler_prefix`
 # + `param_token` select the protocol-step methods (param_token None =
 # no parameter requirement); `emitters` are the class's base trace
-# helpers.
+# helpers. `bases` names the engine base classes a leg inherits
+# protocol steps from (CommitProtocol owns the compute phase both legs
+# share): TR01, WA01, HP01 and the automata examine a base's methods as
+# each leg's own, and an unqualified call in a base method resolves to
+# the leg's override — so an inherited handler is checked once per
+# leg, through that leg's hooks.
 ENGINE_SCOPES = (
-    {"dir": "src/txn", "cls": "TxnEngine", "handler_prefix": "Handle",
-     "param_token": "Message", "emitters": ("Trace", "TraceKey")},
-    {"dir": "src/paxos", "cls": "PaxosEngine", "handler_prefix": "Handle",
-     "param_token": "Message", "emitters": ("Trace", "TraceKey")},
+    {"dir": "src/txn", "cls": "TxnEngine", "bases": ("CommitProtocol",),
+     "handler_prefix": "Handle", "param_token": "Message",
+     "emitters": ("Trace", "TraceKey")},
+    {"dir": "src/paxos", "cls": "PaxosEngine", "bases": ("CommitProtocol",),
+     "handler_prefix": "Handle", "param_token": "Message",
+     "emitters": ("Trace", "TraceKey")},
     # Partial-replication leg: the read router's protocol step is
     # Attempt() — serve, fail over, or exhaust — tracing through its
     # Emit() helper (replica_read / replica_failover events).
@@ -614,6 +644,33 @@ ENGINE_SCOPES = (
      "handler_prefix": "Attempt", "param_token": None,
      "emitters": ("Emit",)},
 )
+
+
+# Leg class -> the engine base classes it inherits (from ENGINE_SCOPES).
+ENGINE_BASES = {scope["cls"]: scope["bases"] for scope in ENGINE_SCOPES
+                if scope.get("bases")}
+
+
+def engine_functions(sources, own_sources, engine_cls, bases=()):
+    """The methods an engine class runs: its own (from `own_sources`)
+    plus every function of a registered base class (from `sources`)
+    that it does not override — as in C++, a leg's override replaces
+    the base's definition of that name."""
+    own = [fn for src in own_sources for fn in cpplite.parse_functions(src)
+           if fn.cls == engine_cls]
+    if not bases:
+        return own
+    overridden = {fn.name for fn in own}
+    inherited = [fn for src in sources for fn in cpplite.parse_functions(src)
+                 if fn.cls in bases and fn.name not in overridden]
+    return own + inherited
+
+
+def _as_leg(fn, engine_cls):
+    """`Leg::Method`, naming the base for an inherited method."""
+    if fn.cls == engine_cls:
+        return f"{engine_cls}::{fn.name}"
+    return f"{fn.cls}::{fn.name} (as {engine_cls})"
 
 
 def check_tr01(root, sources):
@@ -632,11 +689,9 @@ def check_tr01(root, sources):
             # A tree without this leg (e.g. the self-test fixture) is
             # not a TR01 failure — the check is scoped per engine.
             continue
-        engine_methods = []
-        for src in scoped:
-            for fn in cpplite.parse_functions(src):
-                if fn.cls == engine_cls:
-                    engine_methods.append(fn)
+        engine_methods = engine_functions(
+            src_only(root, sources), scoped, engine_cls,
+            scope.get("bases", ()))
 
         # Fixpoint: the set of engine methods that emit on ALL paths.
         # Base emitters are the class's trace helpers themselves.
@@ -674,8 +729,9 @@ def check_tr01(root, sources):
                     continue
                 violations.append(Violation(
                     "TR01", fn.file, line,
-                    f"return path in message handler {engine_cls}::"
-                    f"{fn.name} emits no trace event (Trace/TraceKey or "
+                    f"return path in message handler "
+                    f"{_as_leg(fn, engine_cls)} emits no trace event "
+                    "(Trace/TraceKey or "
                     "an all-paths-emitting callee); the TraceAuditor "
                     "cannot see this protocol step"))
     return violations
@@ -687,7 +743,9 @@ def check_tr01(root, sources):
 
 # Mode A: a durable-state mutation must reach a Wal append before ANY
 # outbound send on every path. Configured per engine class; Paxos is
-# durable-by-contract (no WAL member), so only TxnEngine participates.
+# durable-by-contract (no WAL), so only TxnEngine participates. Both
+# modes analyse a leg together with its ENGINE_SCOPES bases, so the
+# shared compute phase is held to each leg's obligations.
 WA01_BARRIER_RES = (r"\bWal_\s*\(", r"\bwal_\s*->\s*Append\s*\(")
 WA01_SEND_RES = (r"\bsends\s*\.\s*(?:emplace_back|push_back)\s*\(",
                  r"\bsend_\s*\(", r"\bFlushOutbox\s*\(")
@@ -754,12 +812,11 @@ class _WaInfo:
 
 
 def _wa01_infos(root, sources, engine_cls):
-    infos = []
-    for src in src_only(root, sources):
-        for fn in cpplite.parse_functions(src):
-            if fn.cls == engine_cls:
-                infos.append(_WaInfo(fn, src))
-    return infos
+    srcs = src_only(root, sources)
+    by_path = {src.path: src for src in srcs}
+    return [_WaInfo(fn, by_path[fn.file])
+            for fn in engine_functions(srcs, srcs, engine_cls,
+                                       ENGINE_BASES.get(engine_cls, ()))]
 
 
 def _wa01_mode_a(root, engine_cls, infos, conf):
@@ -1134,7 +1191,7 @@ HP01_ALLOC_KINDS = (
         r"reserve|append)\s*\(")),
 )
 
-HP01_ENGINE_CLASSES = ("TxnEngine", "PaxosEngine")
+HP01_ENGINE_CLASSES = ("CommitProtocol", "TxnEngine", "PaxosEngine")
 HP01_CONDITION_CLASSES = ("Condition", "Term")
 
 
@@ -1599,6 +1656,39 @@ void PaxosEngine::HandleProbe(SiteId from, const Message& msg, Outbox* sends) {
   sends.emplace_back(from, MakePaxosPhase2b(msg.txn, msg.ballot));
   Trace(TraceEventType::kSubmit, msg.txn);
 }
+void PaxosEngine::VoteHook(TxnId txn) {
+  Trace(TraceEventType::kSubmit, txn);
+}
+""",
+    # Engine-base seeds. CommitProtocol is both legs' registered base
+    # (ENGINE_SCOPES "bases"). HandleInherited has an untraced early
+    # return (TR01, once per leg) and sends MakeComplete with no record
+    # (WA01, under TxnEngine's obligations). HandleHooked traces only
+    # through its pure-virtual hook VoteHook, which each leg overrides
+    # with a tracing body — TxnEngine's also allocates, which HP01 can
+    # reach only by dispatching from the base to the override. With the
+    # base left out of the config all four findings vanish.
+    "src/txn/engine_base.cc": """
+void CommitProtocol::HandleInherited(SiteId from, const Message& msg,
+                                     Outbox* out) {
+  if (msg.txn.value() == 0) {
+    return;
+  }
+  out->sends.emplace_back(from, MakeComplete(msg.txn));
+  Trace(TraceEventType::kSubmit, msg.txn);
+}
+void CommitProtocol::HandleHooked(SiteId from, const Message& msg,
+                                  Outbox* out) {
+  if (msg.txn.value() == 0) {
+    Trace(TraceEventType::kCrash, msg.txn);
+    return;
+  }
+  VoteHook(msg.txn);
+}
+void TxnEngine::VoteHook(TxnId txn) {
+  auto ballot = std::make_unique<Message>();
+  Trace(TraceEventType::kSubmit, txn);
+}
 """,
     # GD01 seed: count_ is accessed twice under mu_ but once outside in
     # Peek (fires); pending_ is only ever touched under the lock
@@ -1660,6 +1750,8 @@ SELF_TEST_HP01_BASELINE = {
         "::container_growth": 1,
         "src/paxos/paxos_live.cc::PaxosEngine::SteadyTick"
         "::container_growth": 1,
+        "src/txn/engine_base.cc::CommitProtocol::HandleInherited"
+        "::container_growth": 1,
     },
 }
 
@@ -1667,10 +1759,12 @@ SELF_TEST_EXPECT = {
     "LK01": 4,  # contradicting edge + chain gap + unranked + raw attr
     "SW01": 2,  # missing enumerator + silent default
     "CG01": 3,  # Tick -> Settle -> sleep_for, plus the bench seed
-    "TR01": 1,  # HandlePing's early return
-    "WA01": 2,  # HandleLoseAck (mode A) + HandleProbe (mode B)
+    "TR01": 3,  # HandlePing's early return + HandleInherited's, per leg
+    "WA01": 3,  # HandleLoseAck (mode A) + HandleProbe and the inherited
+                # HandleInherited (mode B)
     "GD01": 1,  # Tracker::count_ read outside mu_ in Peek
-    "HP01": 2,  # make_unique in HandleHot + new in Grow
+    "HP01": 3,  # make_unique in HandleHot + new in Grow + make_unique in
+                # the TxnEngine::VoteHook override of the base's hook
     "SM01": 4,  # kPing discard arm + kPaxosNudge unrouted + 2 missing
                 # committed automaton specs (sm_txn/sm_paxos)
     "LV01": 3,  # HandleParkForever timerless wait + FailoverPoke's
@@ -1684,7 +1778,7 @@ SELF_TEST_EXPECT = {
 # re-arming decided_-consulting ticks).
 SELF_TEST_FP_GUARDS = ("ranked_", "HandleTell", "DecideLike", "pending_",
                        "container_growth", "FanOut", "SteadyTick",
-                       "HandleFlow", "HandleKickoff")
+                       "HandleFlow", "HandleKickoff", "HandleHooked")
 
 
 def self_test():

@@ -71,11 +71,16 @@ import dataflow
 OUTCOME_SEEKING = ("kOutcomeRequest", "kPaxosNudge", "kPaxosPhase1a")
 
 # Per-engine protocol description. New commit-protocol legs register
-# here (mirrors polyverify.ENGINE_SCOPES).
+# here (mirrors polyverify.ENGINE_SCOPES). `bases` names the engine base
+# classes whose methods join the leg's machine (CommitProtocol owns the
+# compute phase both legs share); a leg's own definition of a name
+# replaces the base's, so an unqualified hook call inside a base method
+# resolves to that leg's override.
 ENGINE_MACHINES = (
     {
         "engine": "TxnEngine",
         "scope": "src/txn",
+        "bases": ("CommitProtocol",),
         "tag": "txn",
         "entry_points": ("Submit", "Recover"),
         "wait_maps": ("participations_", "coordinations_"),
@@ -84,20 +89,23 @@ ENGINE_MACHINES = (
         "decision_token": "decided_",
         "terminal_families": ("Decide", "FinishParticipation",
                               "ApplyInDoubtPolicy", "HandleLearnedOutcome",
-                              "MakeOutcomeReply"),
+                              "MakeOutcomeReply", "AbortComputePhase",
+                              "AnswerClient", "ReleaseParticipants"),
     },
     {
         "engine": "PaxosEngine",
         "scope": "src/paxos",
+        "bases": ("CommitProtocol",),
         "tag": "paxos",
         "entry_points": ("Submit", "Recover"),
-        "wait_maps": ("participations_", "leaderships_"),
+        "wait_maps": ("participations_", "coordinations_", "leaderships_"),
         "durable_tokens": ("prepared_", "decided_", "acceptor_"),
-        "state_enums": ("PartState", "LeaderPhase"),
+        "state_enums": ("PartState", "CoordPhase", "LeaderPhase"),
         "decision_token": "decided_",
-        "terminal_families": ("ApplyOutcome", "DeliverClientResult",
-                              "StartRecovery", "FinishTally",
-                              "BroadcastDecision", "AbortBeforeVotes",
+        "terminal_families": ("ApplyOutcome", "AnswerClient",
+                              "EndLeadership", "StartRecovery",
+                              "FinishTally", "BroadcastDecision",
+                              "AbortComputePhase", "ReleaseParticipants",
                               "MakePaxosDecision"),
     },
 )
@@ -173,12 +181,19 @@ def _timer_arms(raw, method_names):
     return arms
 
 
-def _build_methods(scoped_sources, conf):
-    """Parses the engine class into a name -> _Method dict."""
+def _build_methods(scoped_sources, conf, sources=()):
+    """Parses the engine class, merged with its `bases` from `sources`,
+    into a name -> _Method dict."""
     fns = []
     for src in scoped_sources:
         for fn in cpplite.parse_functions(src):
             if fn.cls == conf["engine"]:
+                fns.append(fn)
+    overridden = {fn.name for fn in fns}
+    for src in sources:
+        for fn in cpplite.parse_functions(src):
+            if fn.cls in conf.get("bases", ()) and \
+                    fn.name not in overridden:
                 fns.append(fn)
     names = {fn.name for fn in fns}
     write_re = re.compile(
@@ -358,7 +373,7 @@ def _build_machines_uncached(root, sources):
             if ("/" + conf["scope"] + "/") in s.path.replace(os.sep, "/")]
         if not scoped:
             continue
-        methods = _build_methods(scoped, conf)
+        methods = _build_methods(scoped, conf, sources)
         if not methods:
             continue
         machines.append(

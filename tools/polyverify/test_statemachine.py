@@ -150,6 +150,93 @@ class FixtureTest(unittest.TestCase):
                          findings)
 
 
+# A leg that inherits a protocol step from its registered engine base
+# (ENGINE_MACHINES "bases"): OnMessage routes kPing to the base's
+# HandleInherited, which ends in a pure-virtual hook the leg overrides.
+BASE_FIXTURE = {
+    "src/txn/messages.cc": FIXTURE["src/txn/messages.cc"],
+    "src/txn/engine.cc": """
+void TxnEngine::OnMessage(SiteId from, const Message& msg, Outbox* out) {
+  switch (msg.type) {
+    case MsgType::kPing:
+      HandleInherited(from, msg, out);
+      break;
+    case MsgType::kProbe:
+      break;
+  }
+}
+void TxnEngine::Hook(TxnId txn, Outbox* out) {
+  out->sends.emplace_back(self_, MakeProbe(txn));
+  ScheduleGuarded(config_.wait_timeout, [this, txn] { Expire(txn); });
+}
+void TxnEngine::Expire(TxnId txn) {
+  participations_.erase(txn);
+}
+""",
+    "src/txn/compute_phase.cc": """
+void CommitProtocol::HandleInherited(SiteId from, const Message& msg,
+                                     Outbox* out) {
+  participations_.emplace(msg.txn, Participation{});
+  Trace(TraceEventType::kSubmit, msg.txn);
+  Hook(msg.txn, out);
+}
+""",
+}
+
+
+class BaseFixtureTest(unittest.TestCase):
+    @classmethod
+    def setUpClass(cls):
+        cls.tmpdir = tempfile.TemporaryDirectory()
+        cls.tmp = cls.tmpdir.name
+        cls.sources = []
+        for relpath in sorted(BASE_FIXTURE):
+            path = os.path.join(cls.tmp, relpath)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w") as f:
+                f.write(BASE_FIXTURE[relpath])
+            cls.sources.append(
+                cpplite.SourceFile(path=path, text=BASE_FIXTURE[relpath]))
+
+    @classmethod
+    def tearDownClass(cls):
+        cls.tmpdir.cleanup()
+
+    def machine(self, machines):
+        self.assertEqual(len(machines), 1)
+        return machines[0]
+
+    def test_inherited_handler_runs_the_legs_hook(self):
+        m = self.machine(statemachine._build_machines_uncached(
+            self.tmp, self.sources))
+        self.assertEqual(m.dispatch["kPing"], "HandleInherited")
+        self.assertIn("HandleInherited", m.methods)
+        edge = {e["on"]: e for e in statemachine.to_spec(m)["edges"]}
+        ping = edge["msg:kPing"]
+        # The base's hook call resolved to TxnEngine::Hook: its send and
+        # its timer are effects of the inherited handler's edge.
+        self.assertEqual(ping["sends"], ["kProbe"])
+        self.assertEqual(ping["arms"], ["Expire"])
+        self.assertIn("participations_.emplace", ping["writes"])
+        self.assertIn("timer:Expire", edge)
+        self.assertEqual(statemachine.check_lv01(self.tmp, self.sources),
+                         [])
+
+    def test_without_the_base_the_handler_drops_out(self):
+        confs = statemachine.ENGINE_MACHINES
+        try:
+            statemachine.ENGINE_MACHINES = tuple(
+                {k: v for k, v in conf.items() if k != "bases"}
+                for conf in confs)
+            m = self.machine(statemachine._build_machines_uncached(
+                self.tmp, self.sources))
+        finally:
+            statemachine.ENGINE_MACHINES = confs
+        self.assertNotIn("HandleInherited", m.methods)
+        spec = statemachine.to_spec(m)
+        self.assertNotIn("msg:kPing", {e["on"] for e in spec["edges"]})
+
+
 class RealTreeTest(unittest.TestCase):
     @classmethod
     def setUpClass(cls):
