@@ -1,15 +1,18 @@
 // Engine throughput: how many transactions per second of real CPU time
 // the stack sustains, on the deterministic runtime (protocol cost alone,
-// no network) and the threaded in-memory runtime (with real
-// synchronisation). Not a paper figure — a regression baseline for the
-// implementation itself.
+// no network), the threaded in-memory runtime (with real
+// synchronisation), TCP loopback, and with a durable WAL. Not a paper
+// figure — a regression baseline for the implementation itself.
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 
+#include "src/net/tcp_transport.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/system/cluster.h"
@@ -62,13 +65,14 @@ double SimThroughput(size_t sites, int txns, TraceSink* trace = nullptr,
   return committed / elapsed;
 }
 
-// One cell of the durability/batching matrix on the threaded runtime.
+// One threaded run's setup.
 struct ThreadedConfig {
   // Empty: no WAL at all (the historical bench rows). Otherwise each site
   // logs to <wal_dir>/site<i>.wal with the policy below.
   std::string wal_dir;
   Wal::SyncPolicy sync_policy = Wal::SyncPolicy::kEveryAppend;
-  bool batching = false;
+  // Run over TCP loopback instead of the in-memory transport.
+  bool tcp = false;
   size_t clients = 4;
 };
 
@@ -82,10 +86,11 @@ double ThreadedThroughput(size_t sites, int txns,
     options.wal_dir = config.wal_dir;
     options.wal.sync_policy = config.sync_policy;
   }
-  options.enable_batching = config.batching;
-  // A tight flush window: coalescing is worth at most this much latency
-  // per hop, and on the in-memory transport latency is the whole game.
-  options.batching.window_seconds = 0.00005;
+  std::unique_ptr<TcpTransport> tcp;
+  if (config.tcp) {
+    tcp = std::make_unique<TcpTransport>();
+    options.transport = tcp.get();
+  }
   ThreadCluster cluster(options);
   const size_t client_count = config.clients;
   for (size_t c = 0; c < client_count; ++c) {
@@ -120,6 +125,17 @@ double ThreadedThroughput(size_t sites, int txns,
                              std::chrono::steady_clock::now() - start)
                              .count();
   return committed / elapsed;
+}
+
+// Median of three short runs: one run on a shared machine can be off by
+// a fifth either way.
+double MedianOfThree(size_t sites, int txns, const ThreadedConfig& config) {
+  double runs[3];
+  for (double& run : runs) {
+    run = ThreadedThroughput(sites, txns, config);
+  }
+  std::sort(runs, runs + 3);
+  return runs[1];
 }
 
 // Fresh WAL directory per matrix cell so no run replays another's log.
@@ -160,36 +176,41 @@ int main() {
               "message; the mem transport\ndelivers through per-site "
               "dispatcher threads.)\n");
 
-  // Durability/batching matrix: same threaded workload, durable WAL on
-  // every site, group commit and message batching toggled independently.
-  // The fsync-per-record row is the baseline the optimisations must beat.
-  std::printf("\nDurable threaded runtime, 2 sites x16 cli "
-              "(group commit x batching)\n\n");
+  // TCP loopback, no WAL: each site's I/O thread writes everything its
+  // engine queued for a peer during one pass with one syscall, so the
+  // wider the client fan-in, the more each write carries.
+  std::printf("\nTCP loopback runtime, 2 sites, no WAL "
+              "(median of 3 runs)\n\n");
+  std::printf("%-34s %12s\n", "configuration", "txns/s");
+  std::printf("%.*s\n", 48, "------------------------------------------------");
+  ThreadedConfig tcp_cell;
+  tcp_cell.tcp = true;
+  tcp_cell.clients = 2;
+  const double tcp_2cli = MedianOfThree(2, 6000, tcp_cell);
+  std::printf("%-34s %12.0f\n", "tcp, 2 clients", tcp_2cli);
+  tcp_cell.clients = 32;
+  const double tcp_32cli = MedianOfThree(2, 16000, tcp_cell);
+  std::printf("%-34s %12.0f\n", "tcp, 32 clients", tcp_32cli);
+
+  // Durability matrix: same threaded workload, durable WAL on every
+  // site. The fsync-per-record row is the baseline group commit must
+  // beat.
+  std::printf("\nDurable threaded runtime, 2 sites x16 cli\n\n");
   std::printf("%-34s %12s\n", "configuration", "txns/s");
   std::printf("%.*s\n", 48, "------------------------------------------------");
   const int kDurableTxns = 480;
   ThreadedConfig cell;
   cell.clients = 16;
   cell.sync_policy = Wal::SyncPolicy::kEveryAppend;
-  cell.batching = false;
   cell.wal_dir = FreshWalDir("sync_plain");
   const double dur_sync_plain = ThreadedThroughput(2, kDurableTxns, cell);
-  std::printf("%-34s %12.0f\n", "fsync/record, unbatched", dur_sync_plain);
-  cell.batching = true;
-  cell.wal_dir = FreshWalDir("sync_batch");
-  const double dur_sync_batch = ThreadedThroughput(2, kDurableTxns, cell);
-  std::printf("%-34s %12.0f\n", "fsync/record, batched", dur_sync_batch);
+  std::printf("%-34s %12.0f\n", "fsync/record", dur_sync_plain);
   cell.sync_policy = Wal::SyncPolicy::kGroupCommit;
-  cell.batching = false;
   cell.wal_dir = FreshWalDir("group_plain");
   const double dur_group_plain = ThreadedThroughput(2, kDurableTxns, cell);
-  std::printf("%-34s %12.0f\n", "group commit, unbatched", dur_group_plain);
-  cell.batching = true;
-  cell.wal_dir = FreshWalDir("group_batch");
-  const double dur_group_batch = ThreadedThroughput(2, kDurableTxns, cell);
-  std::printf("%-34s %12.0f\n", "group commit, batched", dur_group_batch);
-  std::printf("\ngroup commit + batching vs fsync/record unbatched: "
-              "%.2fx\n", dur_group_batch / dur_sync_plain);
+  std::printf("%-34s %12.0f\n", "group commit", dur_group_plain);
+  std::printf("\ngroup commit vs fsync/record: %.2fx\n",
+              dur_group_plain / dur_sync_plain);
   std::printf("\ntracing: %llu events through the sink; traced/untraced "
               "throughput ratio %.2f\n",
               static_cast<unsigned long long>(counting.count()),
@@ -200,11 +221,10 @@ int main() {
   registry.Gauge("bench.sim_2site_traced_txns_per_sec", sim2_traced);
   registry.Gauge("bench.threaded_2site_txns_per_sec", thr2);
   registry.Gauge("bench.threaded_4site_txns_per_sec", thr4);
+  registry.Gauge("bench.tcp_2site_2cli_txns_per_sec", tcp_2cli);
+  registry.Gauge("bench.tcp_2site_32cli_txns_per_sec", tcp_32cli);
   registry.Gauge("bench.durable_sync_plain_txns_per_sec", dur_sync_plain);
-  registry.Gauge("bench.durable_sync_batched_txns_per_sec", dur_sync_batch);
   registry.Gauge("bench.durable_group_plain_txns_per_sec", dur_group_plain);
-  registry.Gauge("bench.durable_group_batched_txns_per_sec",
-                 dur_group_batch);
   registry.SetCounter("bench.trace_events_emitted", counting.count());
   if (const char* path = std::getenv("POLYV_METRICS_JSON")) {
     const Status status = registry.WriteJsonFile(path);

@@ -9,16 +9,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <deque>
+#include <utility>
 #include <vector>
 
 #include "src/common/check.h"
 #include "src/common/logging.h"
 #include "src/common/thread_annotations.h"
 #include "src/common/strings.h"
-#include "src/net/codec.h"
 #include "src/net/wire.h"
 
 namespace polyvalue {
@@ -36,16 +37,17 @@ void SetNoDelay(int fd) {
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-// Serialises a packet into one frame.
-std::string BuildFrame(const Packet& packet) {
+// Appends one length-prefixed frame carrying `packet` to `out`.
+void AppendFrame(const Packet& packet, std::string* out) {
   ByteWriter body;
   body.PutVarint(packet.from.value());
   body.PutVarint(packet.to.value());
-  body.PutRaw(packet.payload.data(), packet.payload.size());
-  ByteWriter frame;
-  frame.PutFixed32(static_cast<uint32_t>(body.size()));
-  frame.PutRaw(body.buffer().data(), body.size());
-  return frame.Take();
+  ByteWriter header;
+  header.PutFixed32(
+      static_cast<uint32_t>(body.size() + packet.payload.size()));
+  out->append(header.buffer());
+  out->append(body.buffer());
+  out->append(packet.payload);
 }
 
 }  // namespace
@@ -178,43 +180,17 @@ class TcpTransport::Impl {
       from = it->second.get();
       ++packets_sent_;
     }
+    bool was_empty;
     {
       MutexLock lock(&from->mu);
+      was_empty = from->pending_sends.empty();
       from->pending_sends.push_back(std::move(packet));
     }
-    Wake(from);
-    return OkStatus();
-  }
-
-  Status SendBatch(std::vector<Packet> packets) {
-    if (packets.empty()) {
-      return OkStatus();
+    // The io thread swaps the whole queue out under `mu`, so a send that
+    // finds it non-empty is already covered by a pending wake.
+    if (was_empty) {
+      Wake(from);
     }
-    if (packets.size() == 1) {
-      return Send(std::move(packets.front()));
-    }
-    Packet envelope;
-    envelope.from = packets.front().from;
-    envelope.to = packets.front().to;
-    const size_t count = packets.size();
-    envelope.payload = EncodePacketBatch(packets);
-    Endpoint* from = nullptr;
-    {
-      MutexLock lock(&mu_);
-      auto it = endpoints_.find(envelope.from);
-      if (it == endpoints_.end()) {
-        return InvalidArgumentError(
-            StrCat("sender ", envelope.from, " not registered"));
-      }
-      from = it->second.get();
-      packets_sent_ += count;
-      ++batched_frames_;
-    }
-    {
-      MutexLock lock(&from->mu);
-      from->pending_sends.push_back(std::move(envelope));
-    }
-    Wake(from);
     return OkStatus();
   }
 
@@ -231,10 +207,6 @@ class TcpTransport::Impl {
   uint64_t packets_delivered() const {
     MutexLock lock(&mu_);
     return packets_delivered_;
-  }
-  uint64_t batched_frames() const {
-    MutexLock lock(&mu_);
-    return batched_frames_;
   }
 
  private:
@@ -330,17 +302,29 @@ class TcpTransport::Impl {
     epoll_ctl(ep->epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
   }
 
+  // Everything queued for one connection in this pass becomes one outbox
+  // entry (frames back to back, still one frame per packet) and one
+  // write attempt: the busier the site, the more each syscall carries.
   void FlushPendingSends(Endpoint* ep) {
     std::deque<Packet> pending;
     {
       MutexLock lock(&ep->mu);
       pending.swap(ep->pending_sends);
     }
+    std::vector<std::pair<int, std::string>> coalesced;  // fd -> frames
     for (Packet& packet : pending) {
       const int fd = OutboundFd(ep, packet.to);
       if (fd < 0) {
         continue;  // destination unreachable: packet lost (tolerated)
       }
+      auto it = std::find_if(coalesced.begin(), coalesced.end(),
+                             [fd](const auto& e) { return e.first == fd; });
+      if (it == coalesced.end()) {
+        it = coalesced.insert(coalesced.end(), {fd, std::string()});
+      }
+      AppendFrame(packet, &it->second);
+    }
+    for (auto& [fd, frames] : coalesced) {
       Connection* conn;
       {
         MutexLock lock(&ep->mu);
@@ -349,7 +333,7 @@ class TcpTransport::Impl {
           continue;
         }
         conn = &it->second;
-        conn->outbox.push_back(BuildFrame(packet));
+        conn->outbox.push_back(std::move(frames));
       }
       TryWrite(ep, conn);
     }
@@ -406,61 +390,51 @@ class TcpTransport::Impl {
         break;
       }
       // EOF or error: deliver what is complete, then drop the connection.
-      DrainFrames(ep, conn);
-      CloseConnection(ep, fd);
+      if (DrainFrames(ep, conn)) {
+        CloseConnection(ep, fd);
+      }
       return;
     }
-    DrainFrames(ep, conn);
+    (void)DrainFrames(ep, conn);
   }
 
-  void DrainFrames(Endpoint* ep, Connection* conn) {
-    for (;;) {
-      if (conn->inbox.size() < 4) {
-        return;
-      }
-      ByteReader header(conn->inbox.data(), 4);
+  // Delivers every complete frame in the inbox, then drops the consumed
+  // prefix in one erase (not one per frame: a coalesced read holds many).
+  // Returns false when a corrupt length prefix closed the connection.
+  bool DrainFrames(Endpoint* ep, Connection* conn) {
+    const std::string& inbox = conn->inbox;
+    size_t offset = 0;
+    while (inbox.size() - offset >= 4) {
+      ByteReader header(inbox.data() + offset, 4);
       const uint32_t body_len = header.GetFixed32().value();
       if (body_len > 64u * 1024 * 1024) {
         // Corrupt length: poison the connection.
-        conn->inbox.clear();
         CloseConnection(ep, conn->fd);
-        return;
+        return false;
       }
-      if (conn->inbox.size() < 4u + body_len) {
-        return;
+      if (inbox.size() - offset - 4 < body_len) {
+        break;
       }
-      ByteReader body(conn->inbox.data() + 4, body_len);
+      const char* body_data = inbox.data() + offset + 4;
+      ByteReader body(body_data, body_len);
       auto from = body.GetVarint();
       auto to = body.GetVarint();
       if (from.ok() && to.ok()) {
         Packet packet;
         packet.from = SiteId(from.value());
         packet.to = SiteId(to.value());
-        packet.payload.assign(conn->inbox.data() + 4 + (body_len - body.remaining()),
+        packet.payload.assign(body_data + (body_len - body.remaining()),
                               body.remaining());
-        if (IsPacketBatch(packet.payload)) {
-          // Native unpack: deliver each carried packet individually.
-          Result<std::vector<Packet>> unpacked =
-              DecodePacketBatch(packet.payload);
-          if (unpacked.ok()) {
-            {
-              MutexLock lock(&mu_);
-              packets_delivered_ += unpacked.value().size();
-            }
-            for (Packet& p : unpacked.value()) {
-              ep->handler(std::move(p));
-            }
-          }
-        } else {
-          {
-            MutexLock lock(&mu_);
-            ++packets_delivered_;
-          }
-          ep->handler(std::move(packet));
+        {
+          MutexLock lock(&mu_);
+          ++packets_delivered_;
         }
+        ep->handler(std::move(packet));
       }
-      conn->inbox.erase(0, 4u + body_len);
+      offset += 4u + body_len;
     }
+    conn->inbox.erase(0, offset);
+    return true;
   }
 
   void HandleAccept(Endpoint* ep) {
@@ -533,7 +507,6 @@ class TcpTransport::Impl {
   std::unordered_map<SiteId, uint16_t> ports_ GUARDED_BY(mu_);
   uint64_t packets_sent_ GUARDED_BY(mu_) = 0;
   uint64_t packets_delivered_ GUARDED_BY(mu_) = 0;
-  uint64_t batched_frames_ GUARDED_BY(mu_) = 0;
 };
 
 TcpTransport::TcpTransport() : impl_(std::make_unique<Impl>()) {}
@@ -548,18 +521,12 @@ Status TcpTransport::Unregister(SiteId site) {
 Status TcpTransport::Send(Packet packet) {
   return impl_->Send(std::move(packet));
 }
-Status TcpTransport::SendBatch(std::vector<Packet> packets) {
-  return impl_->SendBatch(std::move(packets));
-}
 uint16_t TcpTransport::PortOf(SiteId site) const {
   return impl_->PortOf(site);
 }
 uint64_t TcpTransport::packets_sent() const { return impl_->packets_sent(); }
 uint64_t TcpTransport::packets_delivered() const {
   return impl_->packets_delivered();
-}
-uint64_t TcpTransport::batched_frames() const {
-  return impl_->batched_frames();
 }
 
 }  // namespace polyvalue

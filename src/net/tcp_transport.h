@@ -9,9 +9,19 @@
 //     [u32 little-endian payload length][payload]
 //     payload = varint(from) varint(to) bytes
 //
+// Send only queues the packet and wakes the site's I/O thread (on the
+// queue's empty-to-non-empty edge). Each I/O pass takes the whole queue
+// and writes the frames bound for one connection back to back with one
+// write, so coalescing is self-clocked: under load every syscall carries
+// what piled up during the previous one, and an idle site still sends
+// each packet at once. Nothing waits on a timer, and the wire carries
+// one frame per packet.
+//
 // Partial reads/writes are handled; a peer that disappears mid-frame
 // costs the in-flight packets and nothing else, which is exactly the loss
-// model the commit protocol already tolerates.
+// model the commit protocol already tolerates. Malformed peer bytes cost
+// only their frame or connection: a length prefix above 64 MiB closes
+// the connection, and a frame whose header does not decode is skipped.
 #ifndef SRC_NET_TCP_TRANSPORT_H_
 #define SRC_NET_TCP_TRANSPORT_H_
 
@@ -37,18 +47,11 @@ class TcpTransport : public Transport {
   Status Unregister(SiteId site) override;
   Status Send(Packet packet) override;
 
-  // Native batching: same-link packets ride one TCP frame (one
-  // length-prefixed write instead of N); the receiving endpoint unpacks
-  // the multi-packet payload before invoking the handler.
-  Status SendBatch(std::vector<Packet> packets) override;
-
   // The loopback port a site listens on (0 if unknown). Exposed for tests.
   uint16_t PortOf(SiteId site) const;
 
   uint64_t packets_sent() const;
   uint64_t packets_delivered() const;
-  // Frames sent through SendBatch carrying more than one packet.
-  uint64_t batched_frames() const;
 
  private:
   struct Endpoint;

@@ -15,22 +15,6 @@ SimCluster::SimCluster(Options options)
   faults_.SetDelayRange(options_.min_delay, options_.max_delay);
   transport_ = std::make_unique<SimTransport>(&sim_, &faults_, &rng_);
   transport_->set_trace(options_.trace);
-  endpoint_ = transport_.get();
-  if (options_.enable_batching) {
-    BatchingTransport::Options batching = options_.batching;
-    // No flusher thread in the simulator: flushes are simulator events,
-    // armed one-shot whenever a link queue goes non-empty. Every flush
-    // happens at a deterministic virtual time, so the run is still a
-    // pure function of its seed.
-    batching.auto_flush = false;
-    batching_ =
-        std::make_unique<BatchingTransport>(transport_.get(), batching);
-    const double window = batching.window_seconds;
-    batching_->set_flush_hook([this, window] {
-      sim_.After(window, [this] { batching_->FlushAll(); });
-    });
-    endpoint_ = batching_.get();
-  }
   scheduler_ = std::make_unique<SimScheduler>(&sim_);
   sites_.reserve(options_.site_count);
   for (size_t i = 0; i < options_.site_count; ++i) {
@@ -43,7 +27,7 @@ SimCluster::SimCluster(Options options)
       site_options.wal_path = StrCat(options_.wal_dir, "/site", i, ".wal");
       site_options.wal = options_.wal;
     }
-    auto site = std::make_unique<Site>(site_id(i), endpoint_,
+    auto site = std::make_unique<Site>(site_id(i), transport_.get(),
                                        scheduler_.get(), site_options);
     POLYV_CHECK(site->Start().ok());
     sites_.push_back(std::move(site));
@@ -131,16 +115,6 @@ void ExportWalMetrics(const std::vector<std::unique_ptr<Site>>& sites,
                             static_cast<double>(batches));
 }
 
-void ExportBatchingMetrics(const BatchingTransport* batching,
-                           uint64_t wire_batched_frames,
-                           MetricsRegistry* registry) {
-  registry->SetCounter("net.batched_frames", wire_batched_frames);
-  if (batching != nullptr) {
-    registry->SetCounter("net.packets_coalesced",
-                         batching->packets_coalesced());
-  }
-}
-
 }  // namespace
 
 void SimCluster::ExportMetrics(MetricsRegistry* registry) const {
@@ -162,8 +136,6 @@ void SimCluster::ExportMetrics(MetricsRegistry* registry) const {
   registry->SetCounter("cluster.bytes_sent", transport_->bytes_sent());
   registry->Gauge("cluster.sim_time_seconds", sim_.now());
   ExportWalMetrics(sites_, registry);
-  ExportBatchingMetrics(batching_.get(), transport_->batched_frames(),
-                        registry);
 }
 
 ThreadCluster::ThreadCluster(Options options)
@@ -178,12 +150,6 @@ ThreadCluster::ThreadCluster(Options options)
         std::make_unique<MemTransport>(options_.faults, options_.seed);
     transport_ = owned_transport_.get();
   }
-  endpoint_ = transport_;
-  if (options_.enable_batching) {
-    batching_ =
-        std::make_unique<BatchingTransport>(transport_, options_.batching);
-    endpoint_ = batching_.get();
-  }
   sites_.reserve(options_.site_count);
   for (size_t i = 0; i < options_.site_count; ++i) {
     Site::Options site_options;
@@ -195,7 +161,7 @@ ThreadCluster::ThreadCluster(Options options)
       site_options.wal_path = StrCat(options_.wal_dir, "/site", i, ".wal");
       site_options.wal = options_.wal;
     }
-    auto site = std::make_unique<Site>(site_id(i), endpoint_,
+    auto site = std::make_unique<Site>(site_id(i), transport_,
                                        &scheduler_, site_options);
     POLYV_CHECK(site->Start().ok());
     sites_.push_back(std::move(site));
@@ -205,8 +171,6 @@ ThreadCluster::ThreadCluster(Options options)
 ThreadCluster::~ThreadCluster() {
   // Sites unregister in their destructors; transports join their threads.
   sites_.clear();
-  // The decorator must die before the inner transport it wraps.
-  batching_.reset();
 }
 
 void ThreadCluster::Load(size_t site_index, const ItemKey& key,
@@ -274,12 +238,6 @@ void ThreadCluster::ExportMetrics(MetricsRegistry* registry) const {
                          owned_transport_->packets_delivered());
   }
   ExportWalMetrics(sites_, registry);
-  ExportBatchingMetrics(
-      batching_.get(),
-      owned_transport_ != nullptr ? owned_transport_->batched_frames()
-      : batching_ != nullptr      ? batching_->batched_frames()
-                                  : 0,
-      registry);
 }
 
 }  // namespace polyvalue

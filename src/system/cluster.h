@@ -16,7 +16,6 @@
 #include <string>
 
 #include "src/event/simulator.h"
-#include "src/net/batching_transport.h"
 #include "src/net/mem_transport.h"
 #include "src/net/sim_transport.h"
 #include "src/obs/metrics.h"
@@ -41,20 +40,11 @@ struct ClusterOptions {
   // `wal` knobs (group commit etc.); empty disables durability.
   std::string wal_dir;
   Wal::Options wal;
-  // Message batching. Off by default. When on, a BatchingTransport
-  // fronts the cluster's transport (see each cluster for how it is
-  // flushed).
-  bool enable_batching = false;
-  BatchingTransport::Options batching;
   size_t store_shards = ItemStore::kDefaultShards;
 };
 
 class SimCluster {
  public:
-  // Batching here uses auto_flush = false, with flush ticks scheduled on
-  // the SIMULATOR clock (`batching.window_seconds` after a link queue
-  // first fills), so runs stay deterministic per seed; with it off the
-  // golden trace and every seeded run keep the unbatched schedule.
   struct Options : ClusterOptions {
     // Network latency range (seconds).
     double min_delay = 0.001;
@@ -70,8 +60,6 @@ class SimCluster {
   Simulator& sim() { return sim_; }
   FaultPlan& faults() { return faults_; }
   SimTransport& transport() { return *transport_; }
-  // Null unless enable_batching.
-  BatchingTransport* batching() { return batching_.get(); }
   Rng& rng() { return rng_; }
 
   // Seeds an item at the site that owns it.
@@ -110,17 +98,12 @@ class SimCluster {
   FaultPlan faults_;
   Rng rng_;
   std::unique_ptr<SimTransport> transport_;
-  std::unique_ptr<BatchingTransport> batching_;
-  // What sites register on / send through: batching_ if enabled, else
-  // transport_.
-  Transport* endpoint_ = nullptr;
   std::unique_ptr<SimScheduler> scheduler_;
   std::vector<std::unique_ptr<Site>> sites_;
 };
 
 class ThreadCluster {
  public:
-  // Batching here runs a real flusher thread.
   struct Options : ClusterOptions {
     FaultPlan* faults = nullptr;  // optional shared fault plan
     // When set, sites use this externally owned transport (e.g. a
@@ -134,9 +117,7 @@ class ThreadCluster {
   size_t size() const { return sites_.size(); }
   Site& site(size_t index) { return *sites_[index]; }
   SiteId site_id(size_t index) const { return SiteId(index + 1); }
-  Transport& transport() { return *endpoint_; }
-  // Null unless enable_batching.
-  BatchingTransport* batching() { return batching_.get(); }
+  Transport& transport() { return *transport_; }
 
   void Load(size_t site_index, const ItemKey& key, Value value);
 
@@ -156,9 +137,7 @@ class ThreadCluster {
  private:
   Options options_;
   std::unique_ptr<MemTransport> owned_transport_;
-  Transport* transport_;  // inner transport (owned or external)
-  std::unique_ptr<BatchingTransport> batching_;
-  Transport* endpoint_ = nullptr;  // what sites actually use
+  Transport* transport_;  // owned or external
   ThreadScheduler scheduler_;
   std::vector<std::unique_ptr<Site>> sites_;
 };

@@ -1,5 +1,6 @@
 #include "src/system/site.h"
 
+#include "src/common/check.h"
 #include "src/common/logging.h"
 #include "src/common/strings.h"
 #include "src/store/recovery.h"
@@ -21,23 +22,15 @@ Site::Site(SiteId id, Transport* transport, Scheduler* scheduler,
       POLYV_DEBUG << id_ << " send to " << to << " failed: " << s;
     }
   };
-  engine_ = std::make_unique<TxnEngine>(id_, &items_, &outcomes_, scheduler,
-                                        send, options_.engine);
-  if (options_.engine.leg == ProtocolLeg::kPaxosCommit) {
-    paxos_ = std::make_unique<PaxosEngine>(id_, &items_, scheduler, send,
-                                           options_.engine);
-    active_ = paxos_.get();
+  if (runs_2pc()) {
+    protocol_ = std::make_unique<TxnEngine>(id_, &items_, &outcomes_,
+                                            scheduler, send, options_.engine);
   } else {
-    active_ = engine_.get();
+    protocol_ = std::make_unique<PaxosEngine>(id_, &items_, scheduler, send,
+                                              options_.engine);
   }
-  // Only the active leg traces: the idle engine would otherwise emit
-  // spurious kCrash/kRecover events into the audited stream.
   if (options_.trace != nullptr) {
-    if (paxos_ != nullptr) {
-      paxos_->AttachTrace(options_.trace);
-    } else {
-      engine_->AttachTrace(options_.trace);
-    }
+    protocol_->AttachTrace(options_.trace);
   }
 }
 
@@ -57,7 +50,9 @@ Status Site::Start() {
     const Result<SiteSnapshot> snapshot = ReadSnapshotFile(snap_path);
     if (snapshot.ok()) {
       RestoreStores(snapshot.value(), &items_, &outcomes_);
-      engine_->ImportDurableState(snapshot.value());
+      if (runs_2pc()) {
+        engine().ImportDurableState(snapshot.value());
+      }
     } else if (snapshot.status().code() != StatusCode::kNotFound) {
       POLYV_WARN << id_ << " ignoring unreadable snapshot: "
                  << snapshot.status();
@@ -66,9 +61,11 @@ Status Site::Start() {
                            Wal::ReplayFile(options_.wal_path));
     POLYV_RETURN_IF_ERROR(RecoverSiteState(records, &items_, &outcomes_,
                                            options_.trace, id_));
-    engine_->RestoreDurableState(records);
     POLYV_ASSIGN_OR_RETURN(wal_, Wal::Open(options_.wal_path, options_.wal));
-    engine_->AttachWal(wal_.get());
+    if (runs_2pc()) {
+      engine().RestoreDurableState(records);
+      engine().AttachWal(wal_.get());
+    }
   }
   POLYV_RETURN_IF_ERROR(transport_->Register(
       id_, [this](Packet packet) { OnPacket(std::move(packet)); }));
@@ -81,7 +78,9 @@ Status Site::Checkpoint() {
     return FailedPreconditionError("site has no WAL configured");
   }
   SiteSnapshot snapshot = CaptureStores(items_, outcomes_);
-  engine_->ExportDurableState(&snapshot);
+  if (runs_2pc()) {
+    engine().ExportDurableState(&snapshot);
+  }
   POLYV_RETURN_IF_ERROR(
       WriteSnapshotFile(snapshot, options_.wal_path + ".snap"));
   if (options_.trace != nullptr) {
@@ -102,7 +101,7 @@ void Site::OnPacket(Packet packet) {
                << ": " << msg.status();
     return;
   }
-  active_->OnMessage(packet.from, msg.value());
+  protocol_->OnMessage(packet.from, msg.value());
 }
 
 void Site::Load(const ItemKey& key, Value value) {
@@ -110,7 +109,7 @@ void Site::Load(const ItemKey& key, Value value) {
 }
 
 TxnId Site::Submit(TxnSpec spec, TxnCallback callback) {
-  return active_->Submit(std::move(spec), std::move(callback));
+  return protocol_->Submit(std::move(spec), std::move(callback));
 }
 
 Result<PolyValue> Site::Peek(const ItemKey& key) const {
@@ -123,15 +122,12 @@ Site::Stats Site::GetStats() const {
   stats.uncertain_items = items_.UncertainCount();
   stats.locked_items = items_.locked_count();
   stats.tracked_transactions = outcomes_.tracked_count();
-  stats.engine = engine_->metrics();
-  if (paxos_ != nullptr) {
-    stats.engine.Accumulate(paxos_->metrics());
-  }
+  stats.engine = protocol_->metrics();
   return stats;
 }
 
 std::optional<bool> Site::DecidedOutcome(TxnId txn) const {
-  return active_->DecidedOutcome(txn);
+  return protocol_->DecidedOutcome(txn);
 }
 
 void Site::AwaitCertain(const PolyValue& value,
@@ -141,6 +137,8 @@ void Site::AwaitCertain(const PolyValue& value,
     callback(value.certain_value());
     return;
   }
+  // A Paxos site never holds one: that leg installs only certain values.
+  POLYV_CHECK_MSG(runs_2pc(), "uncertain value on a Paxos Commit site");
   // Shared accumulator: each dependency resolution records its outcome;
   // the last one computes the final value.
   struct Pending {
@@ -154,7 +152,7 @@ void Site::AwaitCertain(const PolyValue& value,
   pending->remaining = deps.size();
   pending->callback = std::move(callback);
   for (TxnId dep : deps) {
-    engine_->SubscribeOutcome(dep, [pending, dep](bool committed) {
+    engine().SubscribeOutcome(dep, [pending, dep](bool committed) {
       pending->outcomes.emplace(dep, committed);
       if (--pending->remaining == 0) {
         const Result<Value> final_value =
@@ -172,10 +170,7 @@ void Site::Crash(FaultPlan* faults) {
   if (faults != nullptr) {
     faults->SetSiteDown(id_, true);
   }
-  engine_->Crash();
-  if (paxos_ != nullptr) {
-    paxos_->Crash();
-  }
+  protocol_->Crash();
 }
 
 void Site::Recover(FaultPlan* faults) {
@@ -183,10 +178,7 @@ void Site::Recover(FaultPlan* faults) {
   if (faults != nullptr) {
     faults->SetSiteDown(id_, false);
   }
-  engine_->Recover();
-  if (paxos_ != nullptr) {
-    paxos_->Recover();
-  }
+  protocol_->Recover();
 }
 
 }  // namespace polyvalue

@@ -1,16 +1,17 @@
 // A site: one autonomous node of the distributed database.
 //
-// Binds together the per-site pieces — item store, outcome table,
-// transaction engine, optional write-ahead log — and connects them to a
-// Transport endpoint. The same Site class runs on the deterministic
-// simulator and on the threaded/TCP runtimes; only the injected
-// Transport and Scheduler differ.
+// Binds together the per-site pieces — item store, outcome table, the
+// configured leg's commit engine, optional write-ahead log (written only
+// by the 2PC leg) — and connects them to a Transport endpoint. The same
+// Site class runs on the deterministic simulator and on the threaded/TCP
+// runtimes; only the injected Transport and Scheduler differ.
 #ifndef SRC_SYSTEM_SITE_H_
 #define SRC_SYSTEM_SITE_H_
 
 #include <memory>
 #include <string>
 
+#include "src/common/check.h"
 #include "src/common/ids.h"
 #include "src/common/status.h"
 #include "src/net/transport.h"
@@ -68,11 +69,14 @@ class Site {
   ItemStore& store() { return items_; }
   const ItemStore& store() const { return items_; }
   OutcomeTable& outcomes() { return outcomes_; }
-  TxnEngine& engine() { return *engine_; }
-  // Null unless Options::engine.leg == ProtocolLeg::kPaxosCommit.
-  PaxosEngine* paxos() { return paxos_.get(); }
-  // The protocol leg this site actually runs (Submit/packet routing).
-  CommitProtocol& protocol() { return *active_; }
+  // The 2PC leg's engine; CHECK-fails on a Paxos Commit site, which
+  // builds no TxnEngine.
+  TxnEngine& engine() {
+    POLYV_CHECK_MSG(runs_2pc(), "site " << id_ << " runs Paxos Commit");
+    return static_cast<TxnEngine&>(*protocol_);
+  }
+  // The protocol leg this site runs (Submit/packet routing).
+  CommitProtocol& protocol() { return *protocol_; }
   // Null until Start(), or when no WAL path is configured.
   const Wal* wal() const { return wal_.get(); }
 
@@ -102,7 +106,9 @@ class Site {
   // §3.4's second option: withholds an uncertain value until every
   // transaction it depends on resolves, then delivers the one true Value.
   // Fires immediately for certain inputs. The callback runs at most once;
-  // it is dropped if this site crashes first.
+  // it is dropped if this site crashes first. Only a 2PC site can hold an
+  // uncertain value (the Paxos leg installs only certain ones), so an
+  // uncertain `value` on a Paxos Commit site is a CHECK failure.
   void AwaitCertain(const PolyValue& value,
                     std::function<void(const Value&)> callback);
 
@@ -117,6 +123,9 @@ class Site {
 
  private:
   void OnPacket(Packet packet);
+  bool runs_2pc() const {
+    return options_.engine.leg == ProtocolLeg::kTwoPhase;
+  }
 
   const SiteId id_;
   Transport* const transport_;
@@ -125,11 +134,9 @@ class Site {
   ItemStore items_;
   OutcomeTable outcomes_;
   std::unique_ptr<Wal> wal_;
-  std::unique_ptr<TxnEngine> engine_;
-  std::unique_ptr<PaxosEngine> paxos_;
-  // Whichever engine the configured ProtocolLeg selects; all Submit
-  // calls and incoming packets route here.
-  CommitProtocol* active_ = nullptr;
+  // The one engine the configured ProtocolLeg selects (a TxnEngine or a
+  // PaxosEngine); all Submit calls and incoming packets route here.
+  std::unique_ptr<CommitProtocol> protocol_;
   bool started_ = false;
   bool crashed_ = false;
 };

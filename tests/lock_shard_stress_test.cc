@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/net/tcp_transport.h"
 #include "src/store/item_store.h"
 #include "src/system/cluster.h"
 
@@ -222,16 +224,19 @@ TEST(EngineShardStressTest, DisjointAndOverlappingRangesThroughEngine) {
   EXPECT_EQ(hot_total, hot_committed.load());
 }
 
-TEST(EngineShardStressTest, BatchedTransportUnderConcurrentLoad) {
-  // Same engine-level hammering, with the BatchingTransport decorator in
-  // front of MemTransport — the coalescing path must be just as safe.
+TEST(EngineShardStressTest, TcpTransportUnderConcurrentLoad) {
+  // Same engine-level hammering over TCP loopback: many clients keep
+  // every site's send queue busy, so I/O passes coalesce several frames
+  // per connection and Send races the I/O thread's queue swap (the
+  // empty-to-non-empty wake). Every increment must land exactly once.
+  TcpTransport tcp;
   ThreadCluster::Options options;
   options.site_count = 3;
   options.engine = StressConfig();
-  options.enable_batching = true;
-  options.batching.window_seconds = 0.0005;
+  options.transport = &tcp;
   ThreadCluster cluster(options);
-  constexpr int kClients = 6;
+  constexpr int kClients = 8;
+  constexpr int kRounds = 20;
   for (int t = 0; t < kClients; ++t) {
     cluster.Load(t % 3, "b/" + std::to_string(t), Value::Int(0));
   }
@@ -239,7 +244,7 @@ TEST(EngineShardStressTest, BatchedTransportUnderConcurrentLoad) {
   std::vector<std::thread> clients;
   for (int t = 0; t < kClients; ++t) {
     clients.emplace_back([&cluster, &committed, t] {
-      for (int round = 0; round < 5; ++round) {
+      for (int round = 0; round < kRounds; ++round) {
         const auto result = cluster.SubmitAndWait(
             (t + 1) % 3,
             Increment("b/" + std::to_string(t), cluster.site_id(t % 3)),
@@ -253,9 +258,19 @@ TEST(EngineShardStressTest, BatchedTransportUnderConcurrentLoad) {
   for (auto& client : clients) {
     client.join();
   }
-  EXPECT_EQ(committed.load(), kClients * 5);
-  // Whether frames actually coalesced here is timing-dependent; the
-  // deterministic coalescing checks live in batching_transport_test.
+  EXPECT_EQ(committed.load(), kClients * kRounds);
+  // The last COMPLETE of each key may still be in flight.
+  const auto value_of = [&cluster](int t) {
+    const PolyValue value =
+        cluster.site(t % 3).Peek("b/" + std::to_string(t)).value();
+    return value.is_certain() ? value.certain_value() : Value::Null();
+  };
+  for (int t = 0; t < kClients; ++t) {
+    for (int i = 0; i < 1000 && value_of(t) != Value::Int(kRounds); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_EQ(value_of(t), Value::Int(kRounds)) << "b/" << t;
+  }
 }
 
 }  // namespace

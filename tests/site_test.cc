@@ -2,6 +2,10 @@
 #include "src/system/site.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+
+#include <cstdio>
+#include <string>
 
 #include "src/net/sim_transport.h"
 #include "src/system/cluster.h"
@@ -103,6 +107,49 @@ TEST(SiteTest, PhaseInstrumentationAccumulates) {
   // = 20 ms.
   EXPECT_NEAR(m.compute_phase_seconds, 0.02, 0.005);
   EXPECT_NEAR(m.wait_phase_seconds, 0.02, 0.005);
+}
+
+// Crashes and recovers site 0 of an idle cluster running `leg` (with a
+// WAL and a checkpoint behind it), then reports the simulator events the
+// recovery left armed.
+size_t EventsArmedByRecovery(ProtocolLeg leg, const std::string& wal_dir) {
+  mkdir(wal_dir.c_str(), 0755);
+  for (const char* file : {"/site0.wal", "/site0.wal.snap", "/site1.wal",
+                           "/site2.wal"}) {
+    std::remove((wal_dir + file).c_str());
+  }
+  SimCluster::Options options;
+  options.site_count = 3;
+  options.engine.leg = leg;
+  options.wal_dir = wal_dir;
+  SimCluster cluster(options);
+  cluster.Load(0, "x", Value::Int(1));
+  EXPECT_TRUE(cluster.site(0).Checkpoint().ok());
+  cluster.RunAll();
+  EXPECT_EQ(cluster.sim().pending(), 0u);
+  cluster.CrashSite(0);
+  cluster.RecoverSite(0);
+  return cluster.sim().pending();
+}
+
+TEST(SiteTest, PaxosSiteBuildsNoTxnEngine) {
+  // A Paxos Commit site builds only the leg it runs: no idle TxnEngine to
+  // restore WAL state into, and so no 2PC inquiry tick after a restart
+  // (which a 2PC site, the control, does arm).
+  EXPECT_GT(EventsArmedByRecovery(ProtocolLeg::kTwoPhase,
+                                  testing::TempDir() + "site_2pc"),
+            0u);
+  EXPECT_EQ(EventsArmedByRecovery(ProtocolLeg::kPaxosCommit,
+                                  testing::TempDir() + "site_paxos"),
+            0u);
+
+  SimCluster::Options options;
+  options.site_count = 3;
+  options.engine.leg = ProtocolLeg::kPaxosCommit;
+  SimCluster cluster(options);
+  EXPECT_NE(dynamic_cast<PaxosEngine*>(&cluster.site(0).protocol()),
+            nullptr);
+  EXPECT_DEATH(cluster.site(0).engine(), "runs Paxos Commit");
 }
 
 }  // namespace

@@ -124,16 +124,92 @@ def _rel(root, path):
     return os.path.relpath(path, root).replace(os.sep, "/")
 
 
+def _trace_statements(text):
+    """The argument text of each Trace/TraceKey call in `text`."""
+    for m in _TRACE_CALL_RE.finditer(text):
+        end = text.find(";", m.end())
+        yield text[m.end():end] if end != -1 else text[m.end():m.end() + 200]
+
+
 def _trace_kinds(text):
     """TraceEventType kinds emitted by Trace/TraceKey calls in `text`.
     The kind argument may sit behind a ternary (`Trace(ok ? kA : kB`),
     so scan the whole statement rather than just the first token."""
     kinds = set()
-    for m in _TRACE_CALL_RE.finditer(text):
-        end = text.find(";", m.end())
-        seg = text[m.end():end] if end != -1 else text[m.end():m.end() + 200]
+    for seg in _trace_statements(text):
         kinds.update(_TRACE_KIND_RE.findall(seg))
     return kinds
+
+
+def _split_args(text, angle=False):
+    """Top-level comma split of an argument list (no enclosing parens).
+    `angle` also nests on <>, for parameter lists with template types
+    (argument text may hold `->` and comparisons instead)."""
+    opening, closing = ("([{<", ")]}>") if angle else ("([{", ")]}")
+    args, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch in opening:
+            depth += 1
+        elif ch in closing:
+            depth -= 1
+        elif ch == "," and depth == 0:
+            args.append(text[start:i].strip())
+            start = i + 1
+    args.append(text[start:].strip())
+    return args
+
+
+def _param_names(params):
+    names = []
+    for param in _split_args(params, angle=True):
+        m = re.search(r"(\w+)\s*(?:=.*)?$", param)
+        names.append(m.group(1) if m else "")
+    return names
+
+
+# One arm of a trace kind keyed on a parameter:
+#   `param == Enum::kX ? TraceEventType::kA : ...`
+_KEYED_ARM_RE = re.compile(
+    r"\b(\w+)\s*==\s*(\w+::k\w+)\s*\?\s*TraceEventType::(k\w+)\s*:")
+# The chain's last (default) kind, closing the kind argument.
+_KEYED_DEFAULT_RE = re.compile(r":\s*TraceEventType::(k\w+)\s*,")
+# A call argument that can only be enum constants: one constant, or a
+# ternary whose two branches are constants.
+_CONST_ARG_RE = re.compile(
+    r"^(?:[^?]*\?\s*)?(\w+::k\w+)(?:\s*:\s*(\w+::k\w+))?$")
+
+
+def _keyed_traces(text, params):
+    """Splits the Trace calls in `text` into plain kinds and kinds keyed
+    on one of the function's parameters by a ternary chain, e.g.
+    `Trace(d == TxnDisposition::kCommitted ? TraceEventType::kDecisionCommit
+    : TraceEventType::kDecisionAbort, txn)`. Returns (plain kinds,
+    [(param index, {enum constant: kind}, default kind)]); a keyed trace
+    is resolved per call site by the argument the caller passes."""
+    names = _param_names(params)
+    plain, keyed = set(), []
+    for seg in _trace_statements(text):
+        arms = _KEYED_ARM_RE.findall(seg)
+        default = _KEYED_DEFAULT_RE.findall(seg)
+        keys = {param for param, _, _ in arms}
+        if len(keys) == 1 and arms[0][0] in names and default:
+            keyed.append((names.index(arms[0][0]),
+                          {const: kind for _, const, kind in arms},
+                          default[-1]))
+        else:
+            plain.update(_TRACE_KIND_RE.findall(seg))
+    return plain, keyed
+
+
+def _call_args(text, callee):
+    """Argument lists (split) of every unqualified call to `callee`."""
+    for m in re.finditer(r"(?<![\w.>])%s\s*\(" % re.escape(callee), text):
+        depth = 0
+        for close in range(m.end() - 1, len(text)):
+            depth += {"(": 1, ")": -1}.get(text[close], 0)
+            if depth == 0:
+                break
+        yield _split_args(text[m.end():close])
 
 
 class _Method:
@@ -151,6 +227,7 @@ class _Method:
         self.writes = set()    # "prepared_.erase"-style mutation tokens
         self.states = set()    # "PartState::kWait"-style enum writes
         self.traces = set()    # TraceEventType kinds in blanked body
+        self.keyed = []        # parameter-keyed trace kinds (_keyed_traces)
         self.arms = []         # [{delay, invokes, traces}] timer lambdas
         self.deferred = set()  # methods called only from thunk lambdas
 
@@ -220,7 +297,9 @@ def _build_methods(scoped_sources, conf, sources=()):
             rec.writes.add(f"{wm.group(1)}.{op}")
         for sm in state_re.finditer(blank):
             rec.states.add(f"{sm.group(1)}::{sm.group(2)}")
-        rec.traces.update(_trace_kinds(blank))
+        plain, keyed = _keyed_traces(blank, fn.params)
+        rec.traces.update(plain)
+        rec.keyed.extend(keyed)
         rec.arms.extend(_timer_arms(raw, names))
         in_lambda = {
             name for recv, _, name in cpplite.parse_calls(raw)
@@ -333,8 +412,34 @@ class Machine:
             writes |= rec.writes
             states |= rec.states
             traces |= rec.traces
+            traces |= self._keyed_kinds(name, n)
             arms |= {t for arm in rec.arms for t in arm["invokes"]}
         return sends, writes, states, traces, arms
+
+    def _keyed_kinds(self, root, name):
+        """Kinds of `name`'s parameter-keyed traces that the calls to it
+        inside `root`'s closure can select. An argument that can only be
+        enum constants (`TxnDisposition::kAborted`, or a ternary of two)
+        selects their kinds; anything else, or no call site (`name` is
+        the edge's own handler), selects every kind."""
+        kinds = set()
+        for index, by_const, default in self.methods[name].keyed:
+            every = set(by_const.values()) | {default}
+            args = [
+                call[index] if index < len(call) else ""
+                for caller in self.closure(root) if caller != name
+                for blank in self.methods[caller].blanks
+                for call in _call_args(blank, name)]
+            if not args:
+                kinds |= every
+            for arg in args:
+                m = _CONST_ARG_RE.match(arg)
+                if m is None:
+                    kinds |= every
+                    continue
+                kinds |= {by_const.get(c, default)
+                          for c in m.groups() if c is not None}
+        return kinds
 
     def timer_callbacks(self):
         return sorted({

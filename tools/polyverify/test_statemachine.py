@@ -237,6 +237,85 @@ class BaseFixtureTest(unittest.TestCase):
         self.assertNotIn("msg:kPing", {e["on"] for e in spec["edges"]})
 
 
+# One answer path whose trace kind is a ternary keyed on its disposition
+# parameter, reached from three edges with different arguments.
+KEYED_FIXTURE = {
+    "src/txn/messages.cc": FIXTURE["src/txn/messages.cc"],
+    "src/txn/engine.cc": """
+void TxnEngine::OnMessage(SiteId from, const Message& msg, Outbox* out) {
+  switch (msg.type) {
+    case MsgType::kPing:
+      HandlePing(from, msg, out);
+      break;
+    case MsgType::kProbe:
+      HandleProbe(from, msg, out);
+      break;
+  }
+}
+void TxnEngine::HandlePing(SiteId from, const Message& msg, Outbox* out) {
+  Answer(msg.txn, TxnDisposition::kReadOnly, out);
+}
+void TxnEngine::HandleProbe(SiteId from, const Message& msg, Outbox* out) {
+  Answer(msg.txn,
+         msg.flag ? TxnDisposition::kCommitted : TxnDisposition::kAborted,
+         out);
+  ScheduleGuarded(config_.wait_timeout, [this, msg] { Expire(msg); });
+}
+void TxnEngine::Expire(const Message& msg) {
+  Forward(msg.txn, msg.disposition);
+}
+void TxnEngine::Forward(TxnId txn, TxnDisposition d) {
+  Answer(txn, txn.valid() ? d : TxnDisposition::kAborted, nullptr);
+}
+void TxnEngine::Answer(TxnId txn, TxnDisposition disposition,
+                       Outbox* out) {
+  Trace(disposition == TxnDisposition::kCommitted
+            ? TraceEventType::kDecisionCommit
+            : disposition == TxnDisposition::kAborted
+                  ? TraceEventType::kDecisionAbort
+                  : TraceEventType::kReadOnlyDone,
+        txn);
+}
+""",
+}
+
+
+class KeyedTraceTest(unittest.TestCase):
+    @classmethod
+    def setUpClass(cls):
+        cls.tmpdir = tempfile.TemporaryDirectory()
+        tmp = cls.tmpdir.name
+        sources = []
+        for relpath in sorted(KEYED_FIXTURE):
+            path = os.path.join(tmp, relpath)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w") as f:
+                f.write(KEYED_FIXTURE[relpath])
+            sources.append(
+                cpplite.SourceFile(path=path, text=KEYED_FIXTURE[relpath]))
+        machines = statemachine._build_machines_uncached(tmp, sources)
+        cls.edges = {e["on"]: e for e in
+                     statemachine.to_spec(machines[0])["edges"]}
+
+    @classmethod
+    def tearDownClass(cls):
+        cls.tmpdir.cleanup()
+
+    def test_literal_argument_selects_one_kind(self):
+        self.assertEqual(self.edges["msg:kPing"]["traces"],
+                         ["kReadOnlyDone"])
+
+    def test_ternary_argument_selects_its_arms(self):
+        self.assertEqual(self.edges["msg:kProbe"]["traces"],
+                         ["kDecisionAbort", "kDecisionCommit"])
+
+    def test_unknown_argument_keeps_every_kind(self):
+        # Forward may pass its own parameter through: not resolvable.
+        self.assertEqual(
+            self.edges["timer:Expire"]["traces"],
+            ["kDecisionAbort", "kDecisionCommit", "kReadOnlyDone"])
+
+
 class RealTreeTest(unittest.TestCase):
     @classmethod
     def setUpClass(cls):
@@ -271,6 +350,19 @@ class RealTreeTest(unittest.TestCase):
         self.assertIn("kPaxosNudge", sends)
         self.assertTrue(m.closure_has_token(
             "FailoverTick", statemachine._SCHED_RE))
+
+    def test_answer_client_kinds_follow_the_disposition(self):
+        # CommitProtocol::AnswerClient keys its trace kind on the
+        # disposition: a collect timeout only aborts, and the vote
+        # handlers never answer a read-only transaction.
+        m = self.by_tag("txn")
+        traces = {on: set(m.closure_effects(on)[3])
+                  for on in ("CollectTimeout", "HandleReady")}
+        self.assertIn("kDecisionAbort", traces["CollectTimeout"])
+        self.assertNotIn("kDecisionCommit", traces["CollectTimeout"])
+        self.assertNotIn("kReadOnlyDone", traces["CollectTimeout"])
+        self.assertIn("kDecisionCommit", traces["HandleReady"])
+        self.assertNotIn("kReadOnlyDone", traces["HandleReady"])
 
     def test_committed_specs_reproduce_byte_identically(self):
         for machine in self.machines:
